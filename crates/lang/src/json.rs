@@ -232,20 +232,29 @@ fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
 }
 
 fn write_string(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        // Every escaped byte is ASCII, so the unescaped run before it
+        // ends on a character boundary and is copied whole.
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -350,13 +359,23 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next `"` or `\` as one run: both
+        // are ASCII, so the run is checked as UTF-8 once and appended
+        // whole, keeping decoding linear in the input.
+        let rest = &b[*pos..];
+        let len = rest.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(rest.len());
+        let run = std::str::from_utf8(&rest[..len])
+            .map_err(|_| JsonError("invalid utf8 in string".into()))?;
+        out.push_str(run);
+        *pos += len;
         match b.get(*pos) {
             None => return err("unterminated string"),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A `\`: the only other byte a run stops at.
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -368,35 +387,41 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError("bad \\u escape".into()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError("bad \\u escape".into()))?;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let code = parse_hex4(b, *pos + 1)?;
                         *pos += 4;
+                        out.push(unicode_escape(b, pos, code));
                     }
                     _ => return err(format!("bad escape at byte {}", *pos)),
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| JsonError("invalid utf8 in string".into()))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| JsonError("unterminated string".into()))?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
+}
+
+/// The four hex digits of a `\u` escape starting at byte `at`.
+fn parse_hex4(b: &[u8], at: usize) -> Result<u32, JsonError> {
+    let hex = b.get(at..at + 4).ok_or_else(|| JsonError("truncated \\u escape".into()))?;
+    let hex = std::str::from_utf8(hex).map_err(|_| JsonError("bad \\u escape".into()))?;
+    u32::from_str_radix(hex, 16).map_err(|_| JsonError("bad \\u escape".into()))
+}
+
+/// The character a `\u` escape of `code` stands for, with `*pos` on
+/// its last hex digit. A high surrogate followed by an escaped low one
+/// is a pair, the way other encoders write characters outside the BMP:
+/// the two give one character and `*pos` moves onto the second escape's
+/// last digit. A lone or reversed surrogate is U+FFFD, and an escape
+/// after a high surrogate that does not complete it is decoded on its
+/// own.
+fn unicode_escape(b: &[u8], pos: &mut usize, code: u32) -> char {
+    if (0xd800..0xdc00).contains(&code) && b.get(*pos + 1..*pos + 3) == Some(b"\\u".as_slice()) {
+        if let Ok(low @ 0xdc00..=0xdfff) = parse_hex4(b, *pos + 3) {
+            *pos += 6;
+            let pair = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+            return char::from_u32(pair).unwrap_or('\u{fffd}');
+        }
+    }
+    char::from_u32(code).unwrap_or('\u{fffd}')
 }
 
 /// Types that serialise to a [`Json`] tree.
@@ -498,5 +523,138 @@ mod tests {
         let text = j.write_compact();
         assert_eq!(Json::parse(&text).unwrap(), j);
         assert_eq!(Json::parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
+    }
+
+    /// SplitMix64: a seeded generator for the random-string tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// A string of control bytes, the characters JSON treats specially,
+    /// 2-, 3- and 4-byte characters, printable ASCII and long
+    /// unescaped runs.
+    fn random_string(rng: &mut Rng) -> String {
+        const SPECIAL: [&str; 10] =
+            ["\"", "\\", "/", "é", "π", "€", "\u{ffff}", "😀", "𝄞", "\u{10ffff}"];
+        let mut s = String::new();
+        for _ in 0..rng.below(48) {
+            match rng.below(4) {
+                0 => s.push(char::from(rng.below(0x20) as u8)),
+                1 => s.push_str(SPECIAL[rng.below(SPECIAL.len())]),
+                2 => s.push(char::from(b' ' + rng.below(95) as u8)),
+                _ => s.push_str(&"r".repeat(rng.below(2048))),
+            }
+        }
+        s
+    }
+
+    /// The char-by-char escaper the writer's run copying replaced.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Every character as a `\u` escape, astral ones as surrogate
+    /// pairs: what ASCII-only encoders such as Python's `json.dumps`
+    /// write.
+    fn escape_all(s: &str) -> String {
+        let mut out = String::from('"');
+        for unit in s.encode_utf16() {
+            let _ = write!(out, "\\u{unit:04X}");
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn random_strings_roundtrip_and_match_reference_escaper() {
+        let mut rng = Rng(0x6d73_7065_6373);
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let strings = std::iter::once(controls).chain((0..200).map(|_| random_string(&mut rng)));
+        for s in strings {
+            let text = Json::Str(s.clone()).write_compact();
+            assert_eq!(text, reference_escape(&s), "{s:?}");
+            assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.clone()), "{s:?}");
+            assert_eq!(Json::parse(&escape_all(&s)).unwrap(), Json::Str(s.clone()), "{s:?}");
+            let doc = Json::Obj(vec![(s.clone(), Json::Arr(vec![Json::Str(s.clone())]))]);
+            for text in [doc.write_compact(), doc.write_pretty()] {
+                assert_eq!(Json::parse(&text).unwrap(), doc, "{s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_replaced() {
+        let decode = |text: &str| Json::parse(text).unwrap().as_str().unwrap().to_string();
+        assert_eq!(decode("\"a\\ud83d\\ude00b\""), "a😀b");
+        assert_eq!(decode("\"\\uD834\\uDD1E\""), "𝄞");
+        assert_eq!(decode("\"\\ud83d\\ud83d\\ude00\""), "\u{fffd}😀");
+        assert_eq!(decode("\"\\ude00\\ud83d\""), "\u{fffd}\u{fffd}");
+        assert_eq!(decode("\"\\ud83dx\\udc00\""), "\u{fffd}x\u{fffd}");
+        assert_eq!(decode("\"\\ud83d\\u0041\\ud83d\""), "\u{fffd}A\u{fffd}");
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_errors() {
+        let cases = [
+            ("\"abc", "unterminated string"),
+            ("\"ab\\", "bad escape at byte 4"),
+            ("\"a\\qb\"", "bad escape at byte 3"),
+            ("{\"k\\x\":1}", "bad escape at byte 4"),
+            ("\"\\u12", "truncated \\u escape"),
+            ("\"\\ud83d\\ude0", "truncated \\u escape"),
+            ("\"\\u12g4\"", "bad \\u escape"),
+            ("\"\\ud83d\\uzz00\"", "bad \\u escape"),
+        ];
+        for (text, msg) in cases {
+            assert_eq!(Json::parse(text), Err(JsonError(msg.to_string())), "{text:?}");
+        }
+    }
+
+    /// Decoding time grows linearly with the string: 8x the bytes must
+    /// cost well under 64x (quadratic) the time.
+    #[test]
+    fn string_decode_is_linear() {
+        fn encoded(len: usize) -> String {
+            let chunk = format!("{} é π 😀 \"q\" \\ /\n\t\u{1}", "r".repeat(200));
+            Json::Str(chunk.repeat(len / chunk.len() + 1)).write_compact()
+        }
+        fn decode_time(text: &str) -> std::time::Duration {
+            let start = std::time::Instant::now();
+            let value = Json::parse(text);
+            let took = start.elapsed();
+            assert!(value.is_ok());
+            took
+        }
+        let (small_text, large_text) = (encoded(256 << 10), encoded(2 << 20));
+        // Best of three each, interleaved so that a burst of load on
+        // the machine slows both sizes alike.
+        let (mut small, mut large) = (std::time::Duration::MAX, std::time::Duration::MAX);
+        for _ in 0..3 {
+            small = small.min(decode_time(&small_text));
+            large = large.min(decode_time(&large_text));
+        }
+        let ratio = large.as_secs_f64() / small.as_secs_f64();
+        assert!(ratio < 24.0, "256 KiB took {small:?}, 2 MiB took {large:?}: ratio {ratio:.1}");
     }
 }

@@ -194,6 +194,23 @@ grep -qF '[memo hit]' target/cache-smoke/daemon-warm.err \
 test -s target/bench-smoke/BENCH_pr9.json \
   || { echo "cache_table wrote no BENCH_pr9.json"; exit 1; }
 
+echo "==> perfbench self-tests + 3 s smoke of each workload (offline)"
+# The benchmark checks every output against its oracles (tree-evaluated
+# source, whole-program residuals, batch specialisation), which no
+# other step runs. A short seeded run of each workload must exit 0 and
+# end with a summary line reporting every output correct and no failed
+# operation.
+timeout 600 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for WORKLOAD in spec-run serve-mix; do
+  timeout 300 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "${WORKLOAD}" --seed 7 --seconds 3 --trace 0 > "target/perfbench-${WORKLOAD}.out"
+  SUMMARY=$(tail -n 1 "target/perfbench-${WORKLOAD}.out")
+  case "${SUMMARY}" in
+    *'"correct": true,'*'"failed": 0,'*) echo "    ${WORKLOAD}: correct, 0 failed" ;;
+    *) echo "perfbench ${WORKLOAD} smoke failed: ${SUMMARY}"; exit 1 ;;
+  esac
+done
+
 echo "==> cargo clippy --all-targets -- -D warnings (offline)"
 cargo clippy --all-targets --offline -- -D warnings
 

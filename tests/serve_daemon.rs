@@ -5,7 +5,8 @@
 //!   unaffected;
 //! * residuals produced through the daemon are byte-identical to the
 //!   batch `mspec spec` CLI output (same pipeline, same pretty-printer);
-//! * the cross-request memo is shared between connections.
+//! * the cross-request memo is shared between connections;
+//! * a megabyte inline source is decoded in linear time.
 
 use mspec_serve::{
     ErrorClass, Request, RequestKind, Response, ResponseBody, ServeConfig, Server, SpecRequest,
@@ -146,6 +147,45 @@ fn daemon_residuals_are_byte_identical_to_cli() {
         String::from_utf8_lossy(&served.stdout)
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec frame carrying a 1 MiB inline source (`power.mspec` after a
+/// 1 MiB comment line, which the lexer skips cheaply) is answered within
+/// seconds with the batch residual's bytes. A decoder that re-validated
+/// the rest of the frame for each character took over 30 s here in a
+/// debug build.
+#[test]
+fn megabyte_inline_source_is_answered_promptly() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let program = std::fs::read_to_string(root.join("examples/programs/power.mspec")).unwrap();
+    let source = format!("-- {}\n{program}", "x".repeat(1 << 20));
+    let dir = std::env::temp_dir().join(format!("mspec-serve-large-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("power.mspec");
+    std::fs::write(&file, &source).unwrap();
+    let batch = Command::new(env!("CARGO_BIN_EXE_mspec"))
+        .args(["spec", file.to_str().unwrap(), "--entry", "Power.power", "--args", "S:5,D"])
+        .output()
+        .unwrap();
+    assert!(batch.status.success(), "{}", String::from_utf8_lossy(&batch.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (server, handle) = start(ServeConfig::default());
+    let mut c = Conn::open(handle.port);
+    let sent = std::time::Instant::now();
+    let reply = c.roundtrip(&Request {
+        id: 1,
+        kind: RequestKind::Spec(SpecRequest::inline(&source, "Power.power", "S:5,D")),
+    });
+    let took = sent.elapsed();
+    server.shutdown();
+    handle.join();
+
+    let ResponseBody::Spec { residual, .. } = reply.body else {
+        panic!("large inline spec should complete: {reply:?}");
+    };
+    assert_eq!(format!("{residual}\n"), String::from_utf8_lossy(&batch.stdout));
+    assert!(took < std::time::Duration::from_secs(3), "1 MiB spec frame took {took:?}");
 }
 
 /// Resident state: the memo of finished specialisations is shared
