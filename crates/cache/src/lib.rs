@@ -9,12 +9,12 @@
 //! * **Keys** are exactly the daemon's memo keys (see [`spec_key`]):
 //!   the program identity (`src:<fnv>` for inline source,
 //!   `dir:<path>@<identity>` for artefact directories, where the
-//!   identity hashes the `.bti` interface fingerprints), the entry
-//!   point, the division, the budget, and the strategy. Because the
-//!   identity embeds interface fingerprints, a changed `.bti` simply
-//!   *orphans* old entries — staleness is the same `StaleInterface`
-//!   revalidation that guards the in-memory memo, and callers must
-//!   revalidate/load the program *before* probing the cache.
+//!   identity — [`dir_identity`] — hashes the checksums of every `.bti`
+//!   and `.gx` in the directory), the entry point, the division, the
+//!   budget, and the strategy. Because the identity embeds every
+//!   artefact's checksum, a rebuilt interface *or* genext simply
+//!   *orphans* old entries, and callers must take the identity *before*
+//!   linking the directory or probing the cache.
 //! * **Entries** are checksummed artefacts (the `.gx`/`.bti` framing
 //!   from `mspec-cogen`) named by the FNV-1a hash of their key, written
 //!   through [`mspec_cogen::atomic_write`]: a crash mid-write never
@@ -24,7 +24,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use mspec_cogen::files::{decode_artefact, encode_artefact};
+use mspec_cogen::files::{decode_artefact, encode_artefact, gx_header_checksum};
 use mspec_cogen::{atomic_write, bti_fingerprint, fnv64};
 use mspec_genext::{OnExhaustion, SpecStats, Strategy};
 use mspec_lang::{FromJson, Json, ToJson};
@@ -239,47 +239,46 @@ pub fn inline_source_key(src: &str) -> String {
     format!("src:{:016x}", fnv64(src.as_bytes()))
 }
 
-/// Memo identity of an artefact directory: path plus the hash of the
-/// interface fingerprints it links against, so a changed `.bti` yields
-/// a fresh key instead of hitting pre-change entries.
+/// Memo identity of an artefact directory: path plus its
+/// [`dir_identity`], so rebuilding any interface or genext yields a
+/// fresh key instead of hitting pre-change entries.
 pub fn dir_source_key(dir: &str, identity: u64) -> String {
     format!("dir:{dir}@{identity:016x}")
 }
 
-/// Hashes a sorted `(path, fingerprint)` interface list into the
-/// identity component of [`dir_source_key`].
-pub fn interfaces_identity(interfaces: &[(PathBuf, u64)]) -> u64 {
+/// An artefact directory's identity: the FNV-1a hash of every `.bti`
+/// and `.gx` file's name and fingerprint, in name order. A `.bti`
+/// contributes its verified checksum ([`bti_fingerprint`]), a `.gx`
+/// the checksum its header records ([`gx_header_checksum`]); nothing is
+/// decoded. The identity therefore changes whenever any interface or
+/// genext is rewritten with new content, or an artefact appears or
+/// vanishes — which makes every cache entry keyed on the old identity
+/// unreachable. An unreadable or corrupt artefact counts with a marker
+/// in place of its fingerprint.
+///
+/// This is the one staleness check shared by `mspec link-spec
+/// --cache-dir`, the daemon's memo and its disk tier. A caller must take
+/// the identity *before* linking the directory: a rebuild that lands in
+/// between then files residuals under the identity the directory has
+/// just left, never under the one it now has.
+pub fn dir_identity(dir: impl AsRef<Path>) -> u64 {
+    let mut files: Vec<(String, String)> = Vec::new();
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        let fp = match path.extension().and_then(|e| e.to_str()) {
+            Some("bti") => bti_fingerprint(&path),
+            Some("gx") => gx_header_checksum(&path),
+            _ => continue,
+        };
+        let fp = fp.map_or_else(|_| "?".to_string(), |fp| format!("{fp:016x}"));
+        files.push((entry.file_name().to_string_lossy().into_owned(), fp));
+    }
+    files.sort();
     let mut desc = String::new();
-    for (path, fp) in interfaces {
-        desc.push_str(&format!("{}={fp:016x};", path.display()));
+    for (name, fp) in &files {
+        desc.push_str(&format!("{name}={fp};"));
     }
     fnv64(desc.as_bytes())
-}
-
-/// The `.bti` files of an artefact directory, sorted — the interface
-/// set whose fingerprints make up a directory's identity.
-pub fn bti_files(dir: impl AsRef<Path>) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.extension().is_some_and(|e| e == "bti"))
-                .collect()
-        })
-        .unwrap_or_default();
-    files.sort();
-    files
-}
-
-/// Computes an artefact directory's current interface identity by
-/// fingerprinting every `.bti` on disk — i.e. performs the
-/// `StaleInterface`-style revalidation that makes a stale cache entry
-/// unreachable (its key embeds the old identity).
-pub fn dir_identity(dir: impl AsRef<Path>) -> u64 {
-    let interfaces: Vec<(PathBuf, u64)> = bti_files(dir)
-        .into_iter()
-        .filter_map(|p| bti_fingerprint(&p).ok().map(|fp| (p, fp)))
-        .collect();
-    interfaces_identity(&interfaces)
 }
 
 /// The full memo key of one specialisation request — field for field
@@ -466,5 +465,82 @@ mod tests {
         // Same artefacts, same identity.
         assert_eq!(id_one, dir_identity(&dir));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `mspec link-spec DIR --entry Main.main --args D --cache-dir`:
+    /// the residual and whether the cache answered.
+    fn link_spec(dir: &Path, cache: &DiskCache) -> (String, bool) {
+        let key = spec_key(
+            &dir_source_key(&dir.to_string_lossy(), dir_identity(dir)),
+            "Main.main",
+            "D",
+            None,
+            None,
+            OnExhaustion::Error,
+            Strategy::BreadthFirst,
+        );
+        if let Some(hit) = cache.get(&key) {
+            return (hit.residual, true);
+        }
+        let gen = mspec_cogen::link_dir(dir).unwrap();
+        let mut engine = mspec_genext::Engine::new(&gen, mspec_genext::EngineOptions::default());
+        let residual = engine
+            .specialise(
+                &mspec_lang::QualName::new("Main", "main"),
+                vec![mspec_genext::SpecArg::Dynamic],
+            )
+            .unwrap();
+        let text = mspec_lang::pretty::pretty_program(&residual.program);
+        let entry = CacheEntry {
+            key,
+            entry: residual.entry.to_string(),
+            residual: text.clone(),
+            stats: *engine.stats(),
+        };
+        cache.put(&entry).unwrap();
+        (text, false)
+    }
+
+    /// A rebuild that changes a function body but not its interface
+    /// rewrites only the `.gx`; the identity must still move, so a warm
+    /// link-spec answers with the new residual, not the cached old one.
+    #[test]
+    fn body_only_rebuild_changes_identity_and_misses() {
+        use mspec_cogen::build::{build, BuildOptions};
+        let base = tmpdir("body-only");
+        let (src, out) = (base.join("src"), base.join("out"));
+        fs::create_dir_all(&src).unwrap();
+        let power = |step: &str| {
+            format!("module Power where\npower n x = if n == 1 then x else {step}\n")
+        };
+        fs::write(src.join("Power.mspec"), power("x * power (n - 1) x")).unwrap();
+        fs::write(src.join("Main.mspec"), "module Main where\nimport Power\nmain y = power 3 y\n")
+            .unwrap();
+        build(&src, &out, &BuildOptions::default()).unwrap();
+        let cache = DiskCache::open(base.join("cache")).unwrap();
+        let (cold, hit) = link_spec(&out, &cache);
+        assert!(!hit);
+        assert!(cold.contains("main y = y * (y * y)"), "{cold}");
+        assert_eq!(link_spec(&out, &cache), (cold, true));
+        let before = dir_identity(&out);
+        let bti_before = fs::read(out.join("Power.bti")).unwrap();
+
+        // Rewrite Power's body only; backdate its artefacts so the
+        // rewrite is newer than them whatever the file-time granularity.
+        fs::write(src.join("Power.mspec"), power("power (n - 1) x + x")).unwrap();
+        for f in ["Power.bti", "Power.gx"] {
+            let then = std::time::SystemTime::now() - std::time::Duration::from_secs(30);
+            fs::File::options().append(true).open(out.join(f)).unwrap().set_modified(then).unwrap();
+        }
+        let report = build(&src, &out, &BuildOptions::default()).unwrap();
+        assert_eq!(report.rebuilt(), 1, "only Power rebuilds");
+        assert_eq!(fs::read(out.join("Power.bti")).unwrap(), bti_before, "same interface");
+        assert_ne!(dir_identity(&out), before, "a rewritten genext must move the identity");
+
+        let (fresh, hit) = link_spec(&out, &cache);
+        assert!(!hit, "the pre-rebuild residual must not be served");
+        assert!(fresh.contains("main y = y + y + y"), "{fresh}");
+        assert_eq!(link_spec(&out, &cache), (fresh, true), "warm answer equals the cold one");
+        let _ = fs::remove_dir_all(&base);
     }
 }

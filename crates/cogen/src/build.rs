@@ -16,7 +16,8 @@
 //! * [`link_dir`] loads every `.gx` in an artefact directory into a
 //!   runnable [`GenProgram`] — no source needed.
 
-use crate::files::{bti_fingerprint, cogen_module, load_bti, load_gx_unit, CogenError};
+use crate::files::{bti_fingerprint, cogen_with, load_gx_unit, load_import, CogenError};
+use mspec_bta::BtInterface;
 use mspec_genext::GenProgram;
 use mspec_lang::ast::{Ident, ModName, Module, Program};
 use mspec_lang::modgraph::ModGraph;
@@ -121,11 +122,13 @@ pub fn build_traced(
     let mut report =
         BuildReport { out_dir: Some(out_dir.to_path_buf()), ..BuildReport::default() };
 
+    let ifaces = Interfaces::default();
     if let Some(threads) = options.threads {
         let order: Vec<ModName> = graph.topo_order().to_vec();
         let changed: Mutex<BTreeSet<ModName>> = Mutex::new(BTreeSet::new());
         for (_, name, res) in build_workstealing(
             &resolved, &graph, &path_of, out_dir, options, threads, rec, &order, &changed,
+            &ifaces,
         ) {
             report.push(name, res?);
         }
@@ -138,7 +141,7 @@ pub fn build_traced(
         let module = resolved.program().module(name.as_str()).unwrap();
         let imports_changed = module.imports.iter().any(|i| iface_changed.contains(i));
         let (outcome, changed) =
-            build_one(module, path_of[&name], out_dir, options, imports_changed, rec)?;
+            build_one(module, path_of[&name], out_dir, options, imports_changed, &ifaces, rec)?;
         if changed {
             iface_changed.insert(*name);
         }
@@ -148,17 +151,45 @@ pub fn build_traced(
     Ok(report)
 }
 
+/// The interfaces of one build, by module: each one written by the
+/// build, or decoded from the artefact directory on first use. Shared
+/// by the sequential and work-stealing drivers, so an up-to-date import
+/// is decoded once per build rather than once per importer.
+#[derive(Default)]
+struct Interfaces(Mutex<BTreeMap<ModName, (BtInterface, u64)>>);
+
+impl Interfaces {
+    /// `module`'s interface and fingerprint.
+    fn get(&self, module: ModName, out_dir: &Path) -> Result<(BtInterface, u64), CogenError> {
+        if let Some(known) = self.lock().get(&module) {
+            return Ok(known.clone());
+        }
+        let loaded = load_import(out_dir, module)?;
+        Ok(self.lock().entry(module).or_insert(loaded).clone())
+    }
+
+    fn insert(&self, module: ModName, iface: BtInterface, fp: u64) {
+        self.lock().insert(module, (iface, fp));
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<ModName, (BtInterface, u64)>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 /// One module's incremental step: the staleness check, then (when
-/// stale) cogen plus the old/new `.bti` comparison that decides whether
-/// downstream modules must rebuild. Returns the outcome and whether the
-/// interface changed. Shared between the sequential and work-stealing
-/// drivers — by the time it runs, every import's step has completed.
+/// stale) cogen plus the old/new `.bti` fingerprint comparison that
+/// decides whether downstream modules must rebuild. Returns the outcome
+/// and whether the interface changed. Shared between the sequential and
+/// work-stealing drivers — by the time it runs, every import's step has
+/// completed.
 fn build_one(
     module: &Module,
     src_path: &Path,
     out_dir: &Path,
     options: &BuildOptions,
     imports_changed: bool,
+    ifaces: &Interfaces,
     rec: &Recorder,
 ) -> Result<(ModuleOutcome<CogenError>, bool), CogenError> {
     let name = module.name;
@@ -179,15 +210,15 @@ fn build_one(
     } else {
         rec.span("cogen-module")
     };
-    let old_iface = if bti.exists() { Some(load_bti(&bti)?) } else { None };
+    let old_fp = if bti.exists() { Some(bti_fingerprint(&bti)?) } else { None };
     let forced = options.force_residual.get(&name).cloned().unwrap_or_default();
-    let out = cogen_module(module, out_dir, &forced)?;
+    let (out, iface, fp) = cogen_with(module, out_dir, &forced, |imp| ifaces.get(imp, out_dir))?;
     if rec.is_enabled() {
         rec.count("io.bti_bytes_written", file_len(&out.bti));
         rec.count("io.gx_bytes_written", file_len(&out.gx));
     }
-    let new_iface = load_bti(&bti)?;
-    Ok((ModuleOutcome::Built, old_iface.as_ref() != Some(&new_iface)))
+    ifaces.insert(name, iface, fp);
+    Ok((ModuleOutcome::Built, old_fp != Some(fp)))
 }
 
 /// Ready-count work-stealing cogen: one task per module, released when
@@ -207,6 +238,7 @@ fn build_workstealing(
     rec: &Recorder,
     order: &[ModName],
     changed: &Mutex<BTreeSet<ModName>>,
+    ifaces: &Interfaces,
 ) -> Vec<(usize, ModName, Result<ModuleOutcome<CogenError>, CogenError>)> {
     let index: BTreeMap<ModName, usize> =
         order.iter().enumerate().map(|(i, m)| (*m, i)).collect();
@@ -244,13 +276,21 @@ fn build_workstealing(
             };
             let res = match culprit {
                 Some(culprit) => Ok(ModuleOutcome::Skipped { import: culprit }),
-                None => build_one(module, path_of[&name], out_dir, options, imports_changed, rec)
-                    .map(|(outcome, iface_changed)| {
-                        if iface_changed {
-                            changed.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
-                        }
-                        outcome
-                    }),
+                None => build_one(
+                    module,
+                    path_of[&name],
+                    out_dir,
+                    options,
+                    imports_changed,
+                    ifaces,
+                    rec,
+                )
+                .map(|(outcome, iface_changed)| {
+                    if iface_changed {
+                        changed.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
+                    }
+                    outcome
+                }),
             };
             if res.is_err() || matches!(res, Ok(ModuleOutcome::Skipped { .. })) {
                 dead.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
@@ -366,6 +406,7 @@ fn mtime(p: &Path) -> Result<SystemTime, CogenError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::files::cogen_module;
     use filetime_shim::set_mtime_back;
 
     /// Tiny helper to push a file's mtime into the past so that "source
@@ -380,6 +421,16 @@ mod tests {
             let f = fs::OpenOptions::new().write(true).open(path).unwrap();
             let t = SystemTime::now() - Duration::from_secs(secs);
             f.set_modified(t).unwrap();
+        }
+    }
+
+    /// Rewrites a module's source and backdates its artefacts, so the
+    /// source is strictly newer than them even when the rewrite lands
+    /// in the same coarse file-time tick as the last build's writes.
+    fn rewrite(src: &Path, out: &Path, module: &str, text: &str) {
+        fs::write(src.join(format!("{module}.mspec")), text).unwrap();
+        for ext in ["bti", "gx"] {
+            set_mtime_back(&out.join(format!("{module}.{ext}")), 30);
         }
     }
 
@@ -427,11 +478,12 @@ mod tests {
         set_mtime_back(&src.join("Power.mspec"), 60);
         set_mtime_back(&src.join("Main.mspec"), 60);
         // Rewrite Power with the same interface (body tweak only).
-        fs::write(
-            src.join("Power.mspec"),
+        rewrite(
+            &src,
+            &out,
+            "Power",
             "module Power where\npower n x = if n == 1 then x else power (n - 1) x * x\n",
-        )
-        .unwrap();
+        );
         let r = build(&src, &out, &BuildOptions::default()).unwrap();
         // Power rebuilt; Main untouched because Power's .bti is identical.
         assert!(matches!(r.outcome("Power"), Some(ModuleOutcome::Built)));
@@ -447,11 +499,12 @@ mod tests {
         set_mtime_back(&src.join("Main.mspec"), 60);
         // Change Power so its binding-time interface changes (new
         // dynamic-conditional structure).
-        fs::write(
-            src.join("Power.mspec"),
+        rewrite(
+            &src,
+            &out,
+            "Power",
             "module Power where\npower n x = if x == 0 then 0 else if n == 1 then x else x * power (n - 1) x\n",
-        )
-        .unwrap();
+        );
         let r = build(&src, &out, &BuildOptions::default()).unwrap();
         assert_eq!(r.rebuilt(), 2, "{:?}", r.outcomes);
         let _ = fs::remove_dir_all(src.parent().unwrap());
@@ -636,11 +689,12 @@ mod tests {
         assert_eq!(r.rebuilt(), 0);
         assert_eq!(r.up_to_date(), 5);
         // Change Power's interface: everything downstream rebuilds.
-        fs::write(
-            src.join("Power.mspec"),
+        rewrite(
+            &src,
+            &out,
+            "Power",
             "module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\ncube x = power 3 x\n",
-        )
-        .unwrap();
+        );
         let r = build(&src, &out, &opts).unwrap();
         assert!(matches!(r.outcome("Power"), Some(ModuleOutcome::Built)));
         assert!(matches!(r.outcome("Main"), Some(ModuleOutcome::Built)));

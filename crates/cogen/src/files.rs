@@ -22,7 +22,11 @@
 //! or worse, a silently wrong artefact. A `.bti` file's checksum doubles
 //! as its *interface fingerprint*: each `.gx` records the fingerprints
 //! of the interfaces it was generated against, and the linker
-//! revalidates them (see [`CogenError::StaleInterface`]).
+//! revalidates them (see [`CogenError::StaleInterface`]). Taking a
+//! fingerprint ([`bti_fingerprint`]) verifies the checksum but decodes
+//! nothing, and a `.gx` is identified by the checksum in its header
+//! line ([`gx_header_checksum`]); interfaces are decoded only for
+//! analysis.
 //!
 //! `.gx` files are written at version 2 — a *seekable* layout whose
 //! payload opens with a per-function offset table so a session decodes
@@ -46,6 +50,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 use std::fs;
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -216,11 +221,28 @@ fn decode_artefact_versions<'a>(
     text: &'a str,
     accepted: &[u32],
 ) -> Result<(&'a str, u64, u32), CogenError> {
-    let (header, payload) = text.split_once('\n').ok_or_else(|| {
-        CogenError::Format(format!(
-            "not a {kind} artefact: missing `{ARTEFACT_MAGIC}` header line (truncated file?)"
-        ))
-    })?;
+    let (header, payload) = text.split_once('\n').ok_or_else(|| missing_header(kind))?;
+    let (version, stored) = parse_header(kind, header, accepted)?;
+    let actual = fnv64(payload.as_bytes());
+    if actual != stored {
+        return Err(CogenError::Format(format!(
+            "checksum mismatch (file truncated or bit-flipped): header records \
+             {stored:016x}, payload hashes to {actual:016x}"
+        )));
+    }
+    Ok((payload, stored, version))
+}
+
+fn missing_header(kind: &str) -> CogenError {
+    CogenError::Format(format!(
+        "not a {kind} artefact: missing `{ARTEFACT_MAGIC}` header line (truncated file?)"
+    ))
+}
+
+/// Validates an artefact header line (without its newline): magic,
+/// version, kind and the checksum field. Returns the version and the
+/// checksum the header records; the payload is not looked at.
+fn parse_header(kind: &str, header: &str, accepted: &[u32]) -> Result<(u32, u64), CogenError> {
     let mut tokens = header.split(' ');
     let magic = tokens.next().unwrap_or_default();
     if magic != ARTEFACT_MAGIC {
@@ -257,14 +279,30 @@ fn decode_artefact_versions<'a>(
         .ok_or_else(|| {
             CogenError::Format("malformed checksum field in artefact header".into())
         })?;
-    let actual = fnv64(payload.as_bytes());
-    if actual != stored {
-        return Err(CogenError::Format(format!(
-            "checksum mismatch (file truncated or bit-flipped): header records \
-             {stored:016x}, payload hashes to {actual:016x}"
-        )));
-    }
-    Ok((payload, stored, version))
+    Ok((version, stored))
+}
+
+/// The checksum recorded in a `.gx` file's header line — the genext's
+/// contribution to an artefact directory's identity. Only the header
+/// line is read and validated (magic, version, kind, checksum field);
+/// the payload is neither read nor verified here: [`load_gx_unit`]
+/// verifies it whenever the genext is linked.
+///
+/// # Errors
+///
+/// I/O failures or [`CogenError::Format`] on a malformed header.
+pub fn gx_header_checksum(path: impl AsRef<Path>) -> Result<u64, CogenError> {
+    // A well-formed header line is 42 bytes; anything without a newline
+    // in the first 128 is not one.
+    const HEADER_MAX: usize = 128;
+    let file = fs::File::open(path)?.take(HEADER_MAX as u64);
+    let mut line = Vec::with_capacity(HEADER_MAX);
+    BufReader::with_capacity(HEADER_MAX, file).read_until(b'\n', &mut line)?;
+    let header = line
+        .strip_suffix(b"\n")
+        .and_then(|h| std::str::from_utf8(h).ok())
+        .ok_or_else(|| missing_header("gx"))?;
+    Ok(parse_header("gx", header, &[ARTEFACT_VERSION, GX_VERSION_SEEKABLE])?.1)
 }
 
 /// Writes a genext to a `.gx` file (recording no import fingerprints —
@@ -466,9 +504,14 @@ pub fn load_gx_unit(path: impl AsRef<Path>) -> Result<GxUnit, CogenError> {
 ///
 /// I/O or serialisation failures.
 pub fn store_bti(path: impl AsRef<Path>, iface: &BtInterface) -> Result<(), CogenError> {
+    write_bti(path.as_ref(), iface).map(|_| ())
+}
+
+/// [`store_bti`], returning the written file's fingerprint.
+fn write_bti(path: &Path, iface: &BtInterface) -> Result<u64, CogenError> {
     let json = iface.to_json().map_err(jerr)?;
     atomic_write(path, encode_artefact("bti", &json))?;
-    Ok(())
+    Ok(fnv64(json.as_bytes()))
 }
 
 /// Reads a `.bti` file back, validating header and checksum.
@@ -493,13 +536,17 @@ pub fn load_bti_full(path: impl AsRef<Path>) -> Result<(BtInterface, u64), Cogen
     Ok((iface, fp))
 }
 
-/// The fingerprint of a `.bti` file on disk (also validates it).
+/// The fingerprint of a `.bti` file on disk: its verified payload
+/// checksum. The header and checksum are validated exactly as by
+/// [`load_bti`], but the interface itself is not decoded — only
+/// analysis needs it.
 ///
 /// # Errors
 ///
 /// I/O failures or [`CogenError::Format`] on corrupt content.
 pub fn bti_fingerprint(path: impl AsRef<Path>) -> Result<u64, CogenError> {
-    Ok(load_bti_full(path)?.1)
+    let text = fs::read_to_string(path)?;
+    Ok(decode_artefact("bti", &text)?.1)
 }
 
 /// The name/arity signature of a module — everything a *client's
@@ -683,14 +730,37 @@ pub fn cogen_module(
 ) -> Result<CogenOutput, CogenError> {
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
+    Ok(cogen_with(module, dir, force_residual, |imp| load_import(dir, imp))?.0)
+}
+
+/// An import's interface and fingerprint, read from `dir`.
+///
+/// # Errors
+///
+/// [`CogenError::MissingInterface`] when the import was not processed
+/// first, or any [`load_bti_full`] error.
+pub(crate) fn load_import(dir: &Path, import: ModName) -> Result<(BtInterface, u64), CogenError> {
+    let path = dir.join(format!("{import}.bti"));
+    if !path.exists() {
+        return Err(CogenError::MissingInterface(import));
+    }
+    load_bti_full(&path)
+}
+
+/// [`cogen_module`] with each import's interface and fingerprint taken
+/// from `import`. Also returns the module's new interface and the
+/// fingerprint of the `.bti` written for it, so a build can hand both
+/// to importers without reading the file back.
+pub(crate) fn cogen_with(
+    module: &Module,
+    dir: &Path,
+    force_residual: &BTreeSet<Ident>,
+    mut import: impl FnMut(ModName) -> Result<(BtInterface, u64), CogenError>,
+) -> Result<(CogenOutput, BtInterface, u64), CogenError> {
     let mut imports = BTreeMap::new();
     let mut fingerprints: Vec<(ModName, u64)> = Vec::new();
     for imp in &module.imports {
-        let path = dir.join(format!("{imp}.bti"));
-        if !path.exists() {
-            return Err(CogenError::MissingInterface(*imp));
-        }
-        let (iface, fp) = load_bti_full(&path)?;
+        let (iface, fp) = import(*imp)?;
         imports.insert(*imp, iface);
         fingerprints.push((*imp, fp));
     }
@@ -702,11 +772,12 @@ pub fn cogen_module(
     let gx_path = dir.join(format!("{}.gx", module.name));
     let text_path = dir.join(format!("Gen{}.txt", module.name));
     let sig_path = dir.join(format!("{}.sig", module.name));
-    store_bti(&bti_path, &ann.interface)?;
+    let fp = write_bti(&bti_path, &ann.interface)?;
     store_gx_with(&gx_path, &gx, &fingerprints)?;
     atomic_write(&text_path, text)?;
     store_sig(&sig_path, &SigFile::of(module))?;
-    Ok(CogenOutput { bti: bti_path, gx: gx_path, gen_text: text_path, sig: sig_path })
+    let out = CogenOutput { bti: bti_path, gx: gx_path, gen_text: text_path, sig: sig_path };
+    Ok((out, ann.interface, fp))
 }
 
 /// Convenience: parses module source text, resolves it against the

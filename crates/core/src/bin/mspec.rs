@@ -390,10 +390,10 @@ fn build_pipeline_traced(opts: &Opts, rec: &Recorder) -> Result<Pipeline, String
     let src = read_source(&opts.file)?;
     let threads = opts.requested_threads()?;
     if rec.is_enabled() || threads.is_some() {
-        let mode = match threads {
-            Some(n) => BuildMode::Threads(n),
-            None => BuildMode::Parallel,
-        };
+        // Tracing must not change how the program is built: without a
+        // thread request it builds sequentially, as the untraced run
+        // does.
+        let mode = threads.map_or(BuildMode::Sequential, BuildMode::Threads);
         let program = {
             let _span = rec.span("parse");
             mspec_lang::parser::parse_program(&src).map_err(|e| e.to_string())?
@@ -447,9 +447,12 @@ fn link_spec(args: &[String]) -> Result<(), String> {
     let spec_args = parse_division(&division)?;
     let rec = opts.recorder();
     // Persistent residual cache. The key embeds the directory's current
-    // `.bti` interface identity — recomputing it from disk *is* the
-    // staleness check (the same `StaleInterface` identity the daemon's
-    // memo uses), so a changed interface simply misses and re-links.
+    // identity, the checksums of all its `.bti` and `.gx` files —
+    // recomputing it from disk *is* the staleness check (the same
+    // identity the daemon's memo uses), so a rebuilt interface or
+    // genext simply misses and re-links. It is taken before linking,
+    // so a rebuild racing this run can never key old genexts' residual
+    // under the new identity.
     let cache = opts.disk_cache()?;
     let key = cache.as_ref().map(|_| {
         mspec_cache::spec_key(

@@ -1070,8 +1070,8 @@ impl<'p> Engine<'p> {
             GExp::If(code, c, t, f) => {
                 let cv = self.eval(c, env, mask, module, sink)?;
                 if code.is_dynamic(mask) {
-                    let tv = self.eval(t, env, mask, module, sink)?;
-                    let fv = self.eval(f, env, mask, module, sink)?;
+                    let tv = self.eval_branch(t, env, mask, module, sink)?;
+                    let fv = self.eval_branch(f, env, mask, module, sink)?;
                     Ok(Rc::new(PVal::Code(Expr::If(
                         Box::new(self.lift_owned(cv, sink)?),
                         Box::new(self.lift_owned(tv, sink)?),
@@ -1141,6 +1141,37 @@ impl<'p> Engine<'p> {
                 let v = self.eval(inner, env, mask, module, sink)?;
                 self.coerce(spec, v, mask, sink)
             }
+        }
+    }
+
+    /// Evaluates one branch of a dynamic conditional. Which branch runs
+    /// is decided only at run time, so a static run-time error raised
+    /// while specialising the branch — `head []`, division by zero —
+    /// may sit in dead code: the branch becomes residual code that
+    /// raises the same error if it is ever taken. Only an error raised
+    /// in this body is turned into code, not one raised while
+    /// constructing a residual definition the branch requested
+    /// depth-first (that definition would stay unfinished, so the
+    /// session fails as before); every other error propagates.
+    fn eval_branch(
+        &mut self,
+        e: &GExp,
+        env: &mut Vec<Rc<PVal>>,
+        mask: BtMask,
+        module: ModName,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<Rc<PVal>, SpecError> {
+        let (chain, open) = (self.chain.len(), self.open);
+        match self.eval(e, env, mask, module, sink) {
+            Err(err) if self.open == open => match failing_code(&err) {
+                Some(code) => {
+                    // Unfolds cut short by the error leave their frames.
+                    self.chain.truncate(chain);
+                    Ok(Rc::new(PVal::Code(code)))
+                }
+                None => Err(err),
+            },
+            r => r,
         }
     }
 
@@ -1254,6 +1285,25 @@ impl<'p> Engine<'p> {
             }
         }
     }
+}
+
+/// Residual code of any type that fails at run time with the error a
+/// static primitive raised at specialisation time: `head []`,
+/// `head (tail [])` or `head (if 0 / 0 == 0 then [] else [])`. `None`
+/// for every other error.
+fn failing_code(err: &SpecError) -> Option<Expr> {
+    let prim = |op, arg| Expr::Prim(op, vec![arg]);
+    let list = match err {
+        SpecError::EmptyList("head") => Expr::Nil,
+        SpecError::EmptyList(_) => prim(PrimOp::Tail, Expr::Nil),
+        SpecError::DivByZero => {
+            let zero = Expr::Prim(PrimOp::Div, vec![Expr::Nat(0), Expr::Nat(0)]);
+            let test = Expr::Prim(PrimOp::Eq, vec![zero, Expr::Nat(0)]);
+            Expr::If(Box::new(test), Box::new(Expr::Nil), Box::new(Expr::Nil))
+        }
+        _ => return None,
+    };
+    Some(prim(PrimOp::Head, list))
 }
 
 /// Performs a static primitive on partial values.

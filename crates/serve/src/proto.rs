@@ -86,7 +86,7 @@ pub struct SpecRequest {
     /// Inline source text (mutually exclusive with `dir`).
     pub program: Option<String>,
     /// A directory of `.gx`/`.bti` artefacts to link (server-side
-    /// path; revalidated against interface fingerprints on every use).
+    /// path; revalidated against its artefacts' checksums on every use).
     pub dir: Option<String>,
     /// Entry function, `Module.function`.
     pub entry: String,

@@ -9,20 +9,20 @@
 //!   of the source text;
 //! * **artefact sets** — `.gx` directories linked with
 //!   [`mspec_cogen::link_dir`], keyed by directory path and
-//!   *revalidated on every reuse* against the `.bti` interface
-//!   fingerprints recorded at link time: a changed interface forces a
-//!   re-link (which itself re-checks the genexts and can fail
-//!   `stale-interface`), so the daemon never serves residual code
-//!   linked against an interface that has since changed on disk;
+//!   *revalidated on every reuse* against the directory's
+//!   [`dir_identity`] taken when it was linked: a rewritten, added or
+//!   removed `.bti` or `.gx` forces a re-link (which itself re-checks
+//!   the genexts and can fail `stale-interface`), so the daemon never
+//!   serves residual code from artefacts that have since changed on
+//!   disk;
 //! * **memo** — finished specialisations keyed by
 //!   (program *identity*, entry, args, budget, strategy), so a repeated
 //!   request is answered without running the engine at all
 //!   (`memo_hit: true` in the reply). The identity component is the
-//!   source hash for inline programs and the linked interface
-//!   fingerprints for artefact directories — and the memo is consulted
-//!   only *after* the program loads and revalidates, so a `.bti`
-//!   change on disk invalidates memoised residuals exactly when it
-//!   forces a re-link;
+//!   source hash for inline programs and the [`dir_identity`] for
+//!   artefact directories — and the memo is consulted only *after* the
+//!   program loads and revalidates, so an artefact change on disk
+//!   invalidates memoised residuals exactly when it forces a re-link;
 //! * **compiled residuals** — for `run` requests, the residual's
 //!   bytecode (optionally superinstruction-fused, see
 //!   [`mspec_lang::fuse`]), keyed by `(vm-opt, memo key)`. A warm `run`
@@ -41,18 +41,17 @@
 //! stored to it, so a *restarted* daemon — or a CLI run sharing the
 //! directory — answers warm (`memo_hit: true`) without running the
 //! engine. Keys are derived in `mspec-cache` (identical to the memo's),
-//! so staleness is the same story: the key embeds the interface
-//! identity, and entries for superseded interfaces are simply
+//! so staleness is the same story: the key embeds the directory
+//! identity, and entries for superseded artefacts are simply
 //! unreachable.
 
 use crate::proto::{parse_division, parse_values, ErrorClass, ErrorInfo, RunRequest, SpecRequest};
 use mspec_bta::analyse::analyse_program_with;
 use mspec_cache::{
-    bti_files, dir_source_key, inline_source_key, interfaces_identity, spec_key, CacheEntry,
-    DiskCache,
+    dir_identity, dir_source_key, inline_source_key, spec_key, CacheEntry, DiskCache,
 };
 use mspec_cogen::compile::compile_program;
-use mspec_cogen::{bti_fingerprint, fnv64, link_dir, CogenError};
+use mspec_cogen::{fnv64, link_dir, CogenError};
 use mspec_genext::{
     CancelToken, Engine, EngineOptions, GenProgram, SpecBudget, SpecError, SpecStats,
 };
@@ -69,7 +68,6 @@ use mspec_types::infer_program;
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::Hash;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// A successfully executed (or memoised) specialisation.
@@ -118,14 +116,12 @@ struct CompiledResidual {
     bc: Arc<BcProgram>,
 }
 
-/// A linked artefact directory plus the interface fingerprints it was
-/// linked against.
+/// A linked artefact directory plus its identity when it was linked.
 struct ArtefactSet {
     gen: Arc<GenProgram>,
-    /// `(path, fingerprint)` for every `.bti` present at link time.
-    interfaces: Vec<(PathBuf, u64)>,
-    /// Hash of `interfaces` — the set's identity in memo keys, so a
-    /// re-link against changed interfaces orphans the old entries.
+    /// The directory's [`dir_identity`], taken just before linking —
+    /// the set's identity in memo keys, so a re-link against changed
+    /// artefacts orphans the old entries.
     identity: u64,
 }
 
@@ -138,7 +134,7 @@ pub struct ResidentStats {
     pub program_hits: u64,
     /// Artefact directories (re)linked.
     pub artefact_links: u64,
-    /// Artefact reuses whose fingerprints revalidated clean.
+    /// Artefact reuses whose directory identity revalidated clean.
     pub artefact_revalidations: u64,
     /// Cross-request memo hits.
     pub memo_hits: u64,
@@ -494,9 +490,9 @@ impl Resident {
     }
 
     /// Loads the requested program and returns it together with its
-    /// memo identity: `src:<hash>` for inline source, `dir:<path>@<fp>`
-    /// for artefact directories (where `<fp>` hashes the interface
-    /// fingerprints the set was linked against).
+    /// memo identity: `src:<hash>` for inline source, `dir:<path>@<id>`
+    /// for artefact directories (where `<id>` is the [`dir_identity`]
+    /// the set was linked under).
     fn load_program(
         &self,
         req: &SpecRequest,
@@ -536,16 +532,25 @@ impl Resident {
         dir: &str,
         rec: &Recorder,
     ) -> Result<(Arc<GenProgram>, String), ErrorInfo> {
+        // The identity is taken before `link_dir`, and serves both to
+        // revalidate a resident set and to key a fresh one. Were it
+        // taken after linking, a rebuild landing in between would file
+        // residuals of the old genexts under the new identity, in the
+        // memo and on disk, and serve them for as long as the
+        // directory stays unchanged. Taken before, such residuals sit
+        // under the identity the directory has just left, and the next
+        // request re-links.
+        let identity = dir_identity(dir);
         // Bind the cached set outside the `if let`: a guard temporary
         // in the scrutinee would stay locked for the whole block and
         // self-deadlock on the `remove` below.
         let cached = lock(&self.artefacts).get(dir).cloned();
         if let Some(set) = cached {
-            if self.revalidate(&set) {
+            if set.identity == identity {
                 lock(&self.stats).artefact_revalidations += 1;
-                return Ok((Arc::clone(&set.gen), dir_source_key(dir, set.identity)));
+                return Ok((Arc::clone(&set.gen), dir_source_key(dir, identity)));
             }
-            // An interface changed underneath us: drop and re-link, and
+            // An artefact changed underneath us: drop and re-link, and
             // purge memoised residuals for every earlier version of
             // this directory (their keys can never match again, so
             // keeping them would only leak).
@@ -554,25 +559,11 @@ impl Resident {
             lock(&self.memo).retain(|k, _| !k.starts_with(&stale_prefix));
         }
         let gen = link_dir(dir).map_err(cogen_error_info)?;
-        let interfaces: Vec<(PathBuf, u64)> = bti_files(dir)
-            .into_iter()
-            .filter_map(|p| bti_fingerprint(&p).ok().map(|fp| (p, fp)))
-            .collect();
-        let identity = interfaces_identity(&interfaces);
-        let set = Arc::new(ArtefactSet { gen: Arc::new(gen), interfaces, identity });
+        let set = Arc::new(ArtefactSet { gen: Arc::new(gen), identity });
         lock(&self.stats).artefact_links += 1;
         let evicted = lock(&self.artefacts).insert(dir.to_string(), Arc::clone(&set));
         self.note_evictions(evicted, rec);
         Ok((Arc::clone(&set.gen), dir_source_key(dir, identity)))
-    }
-
-    /// `true` when every interface fingerprint recorded at link time
-    /// still matches the `.bti` on disk (and no interface appeared or
-    /// vanished).
-    fn revalidate(&self, set: &ArtefactSet) -> bool {
-        set.interfaces
-            .iter()
-            .all(|(path, fp)| bti_fingerprint(path).is_ok_and(|now| now == *fp))
     }
 }
 
@@ -683,6 +674,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use mspec_cogen::bti_fingerprint;
 
     const POWER: &str =
         "module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\n";
@@ -718,28 +710,39 @@ mod tests {
         assert_eq!(s.memo_hits, 0);
     }
 
-    #[test]
-    fn dir_memo_is_invalidated_when_interfaces_change() {
-        use mspec_cogen::files::cogen_module;
-
-        let dir = std::env::temp_dir().join(format!("mspec-serve-memo-{}", std::process::id()));
+    /// An empty artefact directory unique to `tag`, and a cogen into it.
+    fn artefact_dir(
+        tag: &str,
+    ) -> (std::path::PathBuf, impl Fn(&str) -> mspec_cogen::files::CogenOutput) {
+        let dir = std::env::temp_dir().join(format!("mspec-serve-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let cogen = |src: &str| {
+        let into = dir.clone();
+        let cogen = move |src: &str| {
             let rp = resolve(parse_program(src).unwrap()).unwrap();
             let m = rp.program().modules[0].clone();
-            cogen_module(&m, &dir, &BTreeSet::new()).unwrap()
+            mspec_cogen::files::cogen_module(&m, &into, &BTreeSet::new()).unwrap()
         };
+        (dir, cogen)
+    }
+
+    fn dir_req(dir: &std::path::Path, entry: &str) -> SpecRequest {
+        SpecRequest {
+            program: None,
+            dir: Some(dir.to_string_lossy().into_owned()),
+            ..SpecRequest::inline("", entry, "D")
+        }
+    }
+
+    #[test]
+    fn dir_memo_is_invalidated_when_interfaces_change() {
+        let (dir, cogen) = artefact_dir("memo");
         let out1 = cogen("module M where\nf x = x + 1\n");
         let fp1 = bti_fingerprint(&out1.bti).unwrap();
 
         let r = Resident::new();
         let rec = Recorder::disabled();
-        let req = SpecRequest {
-            program: None,
-            dir: Some(dir.to_string_lossy().into_owned()),
-            ..SpecRequest::inline("", "M.f", "D")
-        };
+        let req = dir_req(&dir, "M.f");
         let first = r.execute_spec(&req, CancelToken::new(), &rec).unwrap();
         assert!(!first.memo_hit);
         assert!(first.residual.contains("x + 1"), "{}", first.residual);
@@ -757,6 +760,45 @@ mod tests {
         assert!(third.residual.contains("x + 2"), "{}", third.residual);
         assert_eq!(r.stats().artefact_links, 2);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A re-cogen that changes only a body leaves the `.bti` fingerprint
+    /// alone but rewrites the `.gx`: the memo must still miss.
+    #[test]
+    fn dir_memo_is_invalidated_when_only_a_body_changes() {
+        let (dir, cogen) = artefact_dir("memo-body");
+        let out1 = cogen("module M where\nf x = x + 1\n");
+        let fp1 = bti_fingerprint(&out1.bti).unwrap();
+        let r = Resident::new();
+        let rec = Recorder::disabled();
+        let req = dir_req(&dir, "M.f");
+        let first = r.execute_spec(&req, CancelToken::new(), &rec).unwrap();
+        assert!(first.residual.contains("x + 1"), "{}", first.residual);
+        assert!(r.execute_spec(&req, CancelToken::new(), &rec).unwrap().memo_hit);
+
+        let out2 = cogen("module M where\nf x = 1 + x\n");
+        assert_eq!(bti_fingerprint(&out2.bti).unwrap(), fp1, "same interface");
+        let again = r.execute_spec(&req, CancelToken::new(), &rec).unwrap();
+        assert!(!again.memo_hit, "memo must not survive a genext change");
+        assert!(again.residual.contains("1 + x"), "{}", again.residual);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A module cogen'd into a directory after the daemon linked it is
+    /// found by the next request, as `mspec link-spec` would find it.
+    #[test]
+    fn artefacts_added_after_linking_are_linked() {
+        let (dir, cogen) = artefact_dir("added");
+        cogen("module M where\nf x = x + 1\n");
+        let r = Resident::new();
+        let rec = Recorder::disabled();
+        r.execute_spec(&dir_req(&dir, "M.f"), CancelToken::new(), &rec).unwrap();
+
+        cogen("module N where\ng y = y * 2\n");
+        let added = r.execute_spec(&dir_req(&dir, "N.g"), CancelToken::new(), &rec).unwrap();
+        assert!(added.residual.contains("y * 2"), "{}", added.residual);
+        assert_eq!(r.stats().artefact_links, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

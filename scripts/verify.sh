@@ -189,6 +189,33 @@ if grep -qF '[memo hit]' target/cache-smoke/daemon-cold.err; then
 fi
 grep -qF '[memo hit]' target/cache-smoke/daemon-warm.err \
   || { echo "restarted daemon did not answer from the persistent cache"; exit 1; }
+# A body-only rebuild — same interface, new genext — must move the
+# artefact directory's identity: the next link-spec through the same
+# cache misses and prints what an uncached link-spec prints. Power's
+# artefacts are backdated so the rewritten source is newer than them
+# whatever the file-time granularity.
+mkdir -p target/cache-smoke/lib
+printf 'module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\n' \
+  > target/cache-smoke/lib/Power.mspec
+printf 'module Main where\nimport Power\nmain y = power 3 y\n' > target/cache-smoke/lib/Main.mspec
+timeout 60 ./target/release/mspec build target/cache-smoke/lib --out target/cache-smoke/gx > /dev/null
+timeout 60 ./target/release/mspec link-spec target/cache-smoke/gx --entry Main.main --args D \
+  --cache-dir target/cache-smoke/lcache > /dev/null 2>&1
+printf 'module Power where\npower n x = if n == 1 then x else power (n - 1) x + x\n' \
+  > target/cache-smoke/lib/Power.mspec
+touch -d '1 minute ago' target/cache-smoke/gx/Power.bti target/cache-smoke/gx/Power.gx
+timeout 60 ./target/release/mspec build target/cache-smoke/lib --out target/cache-smoke/gx \
+  | grep -qx 'Power: rebuilt' || { echo "body-only edit did not rebuild Power"; exit 1; }
+timeout 60 ./target/release/mspec link-spec target/cache-smoke/gx --entry Main.main --args D \
+  --cache-dir target/cache-smoke/lcache \
+  > target/cache-smoke/rebuilt.txt 2> target/cache-smoke/rebuilt.err
+timeout 60 ./target/release/mspec link-spec target/cache-smoke/gx --entry Main.main --args D \
+  > target/cache-smoke/uncached.txt 2> /dev/null
+cmp target/cache-smoke/rebuilt.txt target/cache-smoke/uncached.txt \
+  || { echo "link-spec after a body-only rebuild served a stale residual"; exit 1; }
+if grep -q 'cache hit' target/cache-smoke/rebuilt.err; then
+  echo "link-spec after a body-only rebuild hit the cache"; exit 1
+fi
 # The PR 9 bench asserts the cold/warm and eager/lazy wins internally.
 ( cd target/bench-smoke && timeout 600 ../../target/release/cache_table )
 test -s target/bench-smoke/BENCH_pr9.json \

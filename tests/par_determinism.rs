@@ -95,6 +95,22 @@ fn interp_matrix_is_byte_identical() {
     assert_eq!(s.run(vec![Value::nat(4)]).unwrap(), Value::nat(112));
 }
 
+/// A static `head []` in a branch of a dynamic conditional, after the
+/// branch has already requested a residual definition: every engine
+/// turns the branch into failing residual code and still builds the
+/// requested definition, byte for byte alike.
+#[test]
+fn dead_branch_static_error_matrix_is_byte_identical() {
+    let p = Pipeline::from_source(
+        "module M where\nh d = if d == 0 then 0 else h (d - 1)\ng xs d = if d == 0 then d else h d + head xs\n",
+    )
+    .unwrap();
+    let args = [SpecArg::Static(Value::list(vec![])), SpecArg::Dynamic];
+    let s = assert_matrix(&p, "M", "g", &args, EngineOptions::default());
+    assert!(s.source().contains("else head []"), "{}", s.source());
+    assert_eq!(s.run(vec![Value::nat(0)]).unwrap(), Value::nat(0));
+}
+
 /// E5: the synthetic multi-module library the scaling benches use.
 #[test]
 fn library_matrix_is_byte_identical() {

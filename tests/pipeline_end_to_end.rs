@@ -3,7 +3,7 @@
 //! libraries, strategy equivalence, baseline agreement, and the file
 //! emission round trip.
 
-use mspec_core::{EngineOptions, Pipeline, SpecArg, SpecBudget, Strategy};
+use mspec_core::{EngineOptions, Pipeline, Runner, SpecArg, SpecBudget, Strategy};
 use mspec_lang::eval::Value;
 use mspec_mix::{mix_specialise, MixOptions};
 
@@ -298,6 +298,54 @@ fn static_division_by_zero_is_caught() {
     let p = Pipeline::from_source("module M where\nmain x = 1 / 0 + x\n").unwrap();
     let err = p.specialise("M", "main", vec![SpecArg::Dynamic]).unwrap_err();
     assert!(err.to_string().contains("division by zero"), "{err}");
+}
+
+/// A static run-time error under a conditional the analysis made
+/// dynamic may sit in dead code: `head (tail [17])` is only reached when
+/// `tail [17]` is non-empty. Specialisation must not fail, and the
+/// residual must agree with the source under both runners.
+#[test]
+fn static_error_in_a_dead_dynamic_branch_does_not_abort() {
+    let src = "module M where\nf p0 p1 = if null (tail (if true then (if false then p0 else p0) else p1 : p0)) then p1 else head (tail (if true then (if false then p0 else p0) else p1 : p0))\n";
+    let p = Pipeline::from_source(src).unwrap();
+    let p0 = Value::list(vec![Value::nat(17)]);
+    for strategy in [Strategy::BreadthFirst, Strategy::DepthFirst] {
+        let options = EngineOptions { strategy, ..EngineOptions::default() };
+        let s = p
+            .specialise_opts("M", "f", vec![SpecArg::Static(p0.clone()), SpecArg::Dynamic], options)
+            .unwrap();
+        for runner in [Runner::Tree, Runner::Vm] {
+            let want = p.run_source_with(runner, "M", "f", vec![p0.clone(), Value::nat(5)]);
+            assert_eq!(want.unwrap(), Value::nat(5));
+            assert_eq!(s.run_with(runner, vec![Value::nat(5)]).unwrap(), Value::nat(5));
+        }
+    }
+}
+
+/// When the branch holding a static error *is* taken, the residual
+/// fails at run time exactly as the source does; the other branch
+/// still computes. Covers `head []`, `tail []` and division by zero.
+#[test]
+fn static_error_in_a_taken_dynamic_branch_fails_at_run_time() {
+    let src = "module M where\n\
+        hd xs d = if d == 0 then head xs else d\n\
+        tl xs d = if d == 0 then head (tail xs) + 1 else d\n\
+        dv n d = if d == 0 then [1 / n] else [d]\n";
+    let p = Pipeline::from_source(src).unwrap();
+    for (f, arg) in [
+        ("hd", Value::list(vec![])),
+        ("tl", Value::list(vec![])),
+        ("dv", Value::nat(0)),
+    ] {
+        let s = p.specialise("M", f, vec![SpecArg::Static(arg.clone()), SpecArg::Dynamic]).unwrap();
+        for runner in [Runner::Tree, Runner::Vm] {
+            let source = |d| p.run_source_with(runner, "M", f, vec![arg.clone(), Value::nat(d)]);
+            let residual = |d| s.run_with(runner, vec![Value::nat(d)]);
+            assert_eq!(residual(3).unwrap(), source(3).unwrap(), "{f} under {runner:?}");
+            let (want, got) = (source(0).unwrap_err(), residual(0).unwrap_err());
+            assert_eq!(got.to_string(), want.to_string(), "{f} under {runner:?}");
+        }
+    }
 }
 
 /// Residual programs are themselves valid pipeline inputs — the residual

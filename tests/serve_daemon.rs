@@ -6,7 +6,9 @@
 //! * residuals produced through the daemon are byte-identical to the
 //!   batch `mspec spec` CLI output (same pipeline, same pretty-printer);
 //! * the cross-request memo is shared between connections;
-//! * a megabyte inline source is decoded in linear time.
+//! * a megabyte inline source is decoded in linear time;
+//! * a restarted daemon's disk tier does not serve residuals of a
+//!   genext rebuilt while it was down.
 
 use mspec_serve::{
     ErrorClass, Request, RequestKind, Response, ResponseBody, ServeConfig, Server, SpecRequest,
@@ -216,6 +218,51 @@ fn memo_is_shared_across_connections() {
 
     server.shutdown();
     handle.join();
+}
+
+/// A genext rebuilt while the daemon is stopped — same interface, new
+/// body — must not be answered from the disk tier after a restart: the
+/// directory's identity covers its `.gx` files, so the old entry's key
+/// is unreachable.
+#[test]
+fn restarted_daemon_does_not_serve_a_rebuilt_genext_from_disk() {
+    let base = std::env::temp_dir().join(format!("mspec-serve-rebuilt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (dir, cache) = (base.join("gx"), base.join("cache"));
+    let cogen = |src: &str| {
+        let rp = mspec_lang::resolve::resolve(mspec_lang::parser::parse_program(src).unwrap());
+        let m = rp.unwrap().program().modules[0].clone();
+        mspec_cogen::files::cogen_module(&m, &dir, &Default::default()).unwrap();
+    };
+    let spec = || {
+        let (server, handle) = start(ServeConfig {
+            cache_dir: Some(cache.to_string_lossy().into_owned()),
+            ..ServeConfig::default()
+        });
+        let req = SpecRequest {
+            program: None,
+            dir: Some(dir.to_string_lossy().into_owned()),
+            ..SpecRequest::inline("", "M.f", "D")
+        };
+        let req = Request { id: 1, kind: RequestKind::Spec(req) };
+        let reply = Conn::open(handle.port).roundtrip(&req);
+        server.shutdown();
+        handle.join();
+        match reply.body {
+            ResponseBody::Spec { residual, memo_hit, .. } => (residual, memo_hit),
+            other => panic!("{other:?}"),
+        }
+    };
+    cogen("module M where\nf x = x + 1\n");
+    let (cold, hit) = spec();
+    assert!(!hit && cold.contains("x + 1"), "{cold}");
+    assert_eq!(spec(), (cold, true), "a restart answers from disk");
+
+    cogen("module M where\nf x = 1 + x\n");
+    let (fresh, hit) = spec();
+    assert!(!hit, "the pre-rebuild residual was served from disk: {fresh}");
+    assert!(fresh.contains("1 + x"), "{fresh}");
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// One fully traced daemon run: a single connection issues two spec

@@ -173,6 +173,33 @@ fn threaded_runs_emit_scheduler_counters() {
     assert!(count(&spec_counters, "sched.steals").is_some(), "spec sched.steals counter");
 }
 
+/// `mspec spec --metrics` builds the way an untraced `spec` does — one
+/// module at a time — unless a thread count is asked for: the log
+/// records the build but no scheduler counters.
+#[test]
+fn traced_cli_spec_builds_sequentially() {
+    let dir = std::env::temp_dir().join(format!("mspec-traced-spec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let src = dir.join("two.mspec");
+    std::fs::write(&src, format!("{POWER}module Main where\nimport Power\nmain y = power 3 y\n"))
+        .unwrap();
+    let log = dir.join("events.jsonl");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mspec"))
+        .arg("spec")
+        .arg(&src)
+        .args(["--entry", "Main.main", "--args", "D", "--metrics"])
+        .arg(&log)
+        .env_remove("MSPEC_THREADS")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let events = std::fs::read_to_string(&log).unwrap();
+    assert!(events.contains("\"build.modules_built\""), "the build is traced: {events}");
+    assert!(!events.contains("\"sched."), "a scheduler ran: {events}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The power example's scrubbed event log matches the checked-in golden
 /// file byte for byte. Regenerate with
 /// `MSPEC_BLESS=1 cargo test -p mspec-core --test telemetry_trace`.
