@@ -16,7 +16,9 @@
 //! * [`link_dir`] loads every `.gx` in an artefact directory into a
 //!   runnable [`GenProgram`] — no source needed.
 
-use crate::files::{bti_fingerprint, cogen_with, load_gx_unit, load_import, CogenError};
+use crate::files::{
+    bti_fingerprint, cogen_with, gx_header_checksum, load_gx_unit, load_import, CogenError,
+};
 use mspec_bta::BtInterface;
 use mspec_genext::GenProgram;
 use mspec_lang::ast::{Ident, ModName, Module, Program};
@@ -196,9 +198,12 @@ fn build_one(
     let bti = out_dir.join(format!("{name}.bti"));
     let gx = out_dir.join(format!("{name}.gx"));
 
+    // An artefact that does not verify is as stale as a missing one,
+    // and an unreadable old interface counts as a changed one.
+    let old_fp = bti_fingerprint(&bti).ok();
     let stale = options.force
-        || !bti.exists()
-        || !gx.exists()
+        || old_fp.is_none()
+        || gx_header_checksum(&gx).is_err()
         || newer(src_path, &bti)?
         || imports_changed;
 
@@ -210,7 +215,6 @@ fn build_one(
     } else {
         rec.span("cogen-module")
     };
-    let old_fp = if bti.exists() { Some(bti_fingerprint(&bti)?) } else { None };
     let forced = options.force_residual.get(&name).cloned().unwrap_or_default();
     let (out, iface, fp) = cogen_with(module, out_dir, &forced, |imp| ifaces.get(imp, out_dir))?;
     if rec.is_enabled() {
@@ -507,6 +511,53 @@ mod tests {
         );
         let r = build(&src, &out, &BuildOptions::default()).unwrap();
         assert_eq!(r.rebuilt(), 2, "{:?}", r.outcomes);
+        let _ = fs::remove_dir_all(src.parent().unwrap());
+    }
+
+    /// Writes garbage over Power's `.bti`, makes Power's source newer or
+    /// older than it, and rebuilds: Power and its importer must rebuild.
+    fn rebuild_over_corrupt_interface(tag: &str, source_newer: bool) {
+        let (src, out) = setup(tag);
+        build(&src, &out, &BuildOptions::default()).unwrap();
+        fs::write(out.join("Power.bti"), "garbage").unwrap();
+        if source_newer {
+            let text = fs::read_to_string(src.join("Power.mspec")).unwrap();
+            rewrite(&src, &out, "Power", &text);
+        } else {
+            set_mtime_back(&src.join("Power.mspec"), 60);
+            set_mtime_back(&src.join("Main.mspec"), 60);
+        }
+        let r = build(&src, &out, &BuildOptions::default()).unwrap();
+        assert!(matches!(r.outcome("Power"), Some(ModuleOutcome::Built)), "{:?}", r.outcomes);
+        assert!(matches!(r.outcome("Main"), Some(ModuleOutcome::Built)), "{:?}", r.outcomes);
+        link_dir(&out).unwrap();
+        let _ = fs::remove_dir_all(src.parent().unwrap());
+    }
+
+    /// An unreadable old fingerprint counts as a changed interface.
+    #[test]
+    fn corrupt_interface_of_a_stale_module_is_rebuilt() {
+        rebuild_over_corrupt_interface("corrupt-new", true);
+    }
+
+    /// A `.bti` that does not verify makes its module stale even when
+    /// the source is older: otherwise only the next link would fail.
+    #[test]
+    fn corrupt_interface_of_an_up_to_date_module_is_rebuilt() {
+        rebuild_over_corrupt_interface("corrupt-old", false);
+    }
+
+    /// A `.gx` whose header does not verify makes its module stale.
+    #[test]
+    fn corrupt_genext_header_is_rebuilt() {
+        let (src, out) = setup("corrupt-gx");
+        build(&src, &out, &BuildOptions::default()).unwrap();
+        set_mtime_back(&src.join("Power.mspec"), 60);
+        set_mtime_back(&src.join("Main.mspec"), 60);
+        fs::write(out.join("Power.gx"), "garbage").unwrap();
+        let r = build(&src, &out, &BuildOptions::default()).unwrap();
+        assert!(matches!(r.outcome("Power"), Some(ModuleOutcome::Built)), "{:?}", r.outcomes);
+        link_dir(&out).unwrap();
         let _ = fs::remove_dir_all(src.parent().unwrap());
     }
 

@@ -180,12 +180,7 @@ impl Opts {
         if let Some(n) = self.max_spec {
             budget.max_specialisations = n;
         }
-        EngineOptions {
-            strategy: self.strategy,
-            budget,
-            on_exhaustion: self.on_exhaustion,
-            ..EngineOptions::default()
-        }
+        EngineOptions { strategy: self.strategy, budget, on_exhaustion: self.on_exhaustion }
     }
 
     /// The run's worker count: the `--threads` flag wins, then the

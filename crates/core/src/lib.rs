@@ -42,8 +42,7 @@ pub mod pipeline;
 pub use error::PipelineError;
 pub use mspec_bta::division::ParamBt;
 pub use mspec_genext::{
-    BudgetResource, CostModel, EngineOptions, OnExhaustion, SpecArg, SpecBudget, SpecStats,
-    Strategy,
+    BudgetResource, EngineOptions, OnExhaustion, SpecArg, SpecBudget, SpecStats, Strategy,
 };
 pub use parbuild::{module_levels, BuildMode, BuildReport, ModuleBuildError, StageTimes};
 pub use mspec_lang::vm::{Runner, VmOpt};

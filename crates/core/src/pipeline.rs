@@ -248,8 +248,8 @@ impl Pipeline {
     /// replay. The residual program (and its stats and provenance) is
     /// byte-identical to the sequential engine's output at every thread
     /// count; options the round driver cannot reproduce (depth-first,
-    /// generalising fallback, legacy cost model) fall back to the
-    /// sequential engine in-process.
+    /// generalising fallback) fall back to the sequential engine
+    /// in-process.
     ///
     /// # Errors
     ///

@@ -19,9 +19,13 @@
 //!   more space efficient") and depth-first strategies, with the
 //!   accounting needed to reproduce that comparison.
 //!
-//! Performance notes: environments hold `Rc<PVal>`, so a variable lookup
-//! is a reference-count bump and applying a closure shares its captured
-//! frame instead of copying it. The memo table is probed by a structural
+//! Performance notes: a step that builds no data allocates nothing.
+//! Scalars travel inline in [`PVal`], so a literal, a variable lookup or
+//! a static primitive is a copy or one refcount bump. Every frame — a
+//! residual body under construction, an unfolded call, an applied
+//! closure — is a window of one value stack the engine owns, and `let`
+//! pushes onto its top; call arguments wait on a second reusable stack
+//! until the callee is entered. The memo table is probed by a structural
 //! hash computed during splitting ([`split_hashed`]); the full [`PKey`]
 //! skeletons are only compared on a hash collision.
 
@@ -30,7 +34,7 @@
 use crate::budget::{BudgetResource, CancelToken, Fuel, OnExhaustion, SpecBudget};
 use crate::emit::{assemble, MemorySink, ModuleSink, ResidualProgram};
 use crate::error::SpecError;
-use crate::gexp::{GCoerce, GenProgram, GExp};
+use crate::gexp::{GCoerce, GenFn, GenProgram, GExp};
 use crate::placement::Placer;
 use crate::value::{
     all_holes_hash, hash_fold, rebuild, split_hashed, Closure, PKey, PVal, SKELETON_SEED,
@@ -57,25 +61,6 @@ pub enum Strategy {
     DepthFirst,
 }
 
-/// Per-operation cost model: how much work each variable lookup and memo
-/// probe performs.
-///
-/// [`CostModel::Legacy`] replicates the engine's pre-interning costs —
-/// deep value clones on every variable lookup, lambda capture and
-/// closure application, and memo keys built from freshly formatted
-/// strings plus deep skeleton copies. It exists so benchmarks can
-/// measure the old and new engines in the *same run* on the *same
-/// machine*; residual output is identical under both models, only the
-/// constant factors differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// Shared `Rc` environments and hash-probed memoisation (default).
-    #[default]
-    Interned,
-    /// Pre-interning behaviour: deep clones and string-keyed memoisation.
-    Legacy,
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
@@ -89,8 +74,6 @@ pub struct EngineOptions {
     /// the offending call to a fully-dynamic residual call so the
     /// session always terminates with a correct program.
     pub on_exhaustion: OnExhaustion,
-    /// Per-operation cost model (benchmarking aid; see [`CostModel`]).
-    pub cost_model: CostModel,
 }
 
 impl Default for EngineOptions {
@@ -99,7 +82,6 @@ impl Default for EngineOptions {
             strategy: Strategy::BreadthFirst,
             budget: SpecBudget::default(),
             on_exhaustion: OnExhaustion::Error,
-            cost_model: CostModel::Interned,
         }
     }
 }
@@ -228,7 +210,7 @@ pub struct Provenance {
 pub(crate) struct PendingSpec {
     target: QualName,
     mask: BtMask,
-    env: Vec<Rc<PVal>>,
+    env: Vec<PVal>,
     resid: QualName,
     formals: Vec<Ident>,
     /// Structural hash of the request's static skeleton (for budget
@@ -241,7 +223,6 @@ pub struct Engine<'p> {
     pub(crate) program: &'p GenProgram,
     pub(crate) options: EngineOptions,
     pub(crate) memo: HashMap<SpecKey, Vec<(Vec<PKey>, QualName)>>,
-    legacy_memo: HashMap<(String, u128, Vec<PKey>), QualName>,
     pub(crate) pending: VecDeque<PendingSpec>,
     pub(crate) placer: Placer,
     pub(crate) name_counters: HashMap<QualName, u32>,
@@ -270,6 +251,11 @@ pub struct Engine<'p> {
     /// the driver's deterministic replay, and step fuel is claimed in
     /// chunks from a pool shared with the other workers.
     pub(crate) par: Option<Box<crate::parallel::ParCtx>>,
+    /// The value stack: every frame is a window of it, starting at the
+    /// `base` that [`Engine::eval`] is given.
+    pub(crate) stack: Vec<PVal>,
+    /// Evaluated arguments of calls whose callee is not entered yet.
+    pub(crate) args: Vec<PVal>,
 }
 
 impl<'p> Engine<'p> {
@@ -291,7 +277,6 @@ impl<'p> Engine<'p> {
             program,
             options,
             memo: HashMap::new(),
-            legacy_memo: HashMap::new(),
             pending: VecDeque::new(),
             placer: Placer::new(program.graph()),
             name_counters: HashMap::new(),
@@ -306,6 +291,8 @@ impl<'p> Engine<'p> {
             cancel: None,
             resid_stack: Vec::new(),
             par: None,
+            stack: Vec::new(),
+            args: Vec::new(),
         }
     }
 
@@ -405,54 +392,12 @@ impl<'p> Engine<'p> {
         args: Vec<SpecArg>,
         sink: &mut dyn ModuleSink,
     ) -> Result<QualName, SpecError> {
-        let f = self
-            .program
-            .function(entry)
-            .ok_or(SpecError::UnknownEntry(*entry))?;
-        if f.params.len() != args.len() {
-            return Err(SpecError::EntryArity {
-                entry: *entry,
-                expected: f.params.len(),
-                found: args.len(),
-            });
-        }
-        let division = Division(
-            args.iter()
-                .map(|a| match a {
-                    SpecArg::Static(_) => ParamBt::Static,
-                    SpecArg::Dynamic => ParamBt::Dynamic,
-                    SpecArg::StaticSpine(_) => ParamBt::StaticSpine,
-                })
-                .collect(),
-        );
-        let mask = division
-            .mask_for(&f.sig)
-            .map_err(|e| SpecError::TypeConfusion(e.to_string()))?;
-
-        // Build the argument values; dynamic positions reference the
-        // residual entry's formal parameters by their original names.
-        let mut vals = Vec::with_capacity(args.len());
-        for (a, p) in args.iter().zip(&f.params) {
-            vals.push(match a {
-                SpecArg::Static(v) => PVal::from_value(v).ok_or_else(|| {
-                    SpecError::TypeConfusion(format!(
-                        "closure values cannot be specialisation inputs (parameter {p})"
-                    ))
-                })?,
-                SpecArg::Dynamic => PVal::Code(Expr::Var(*p)),
-                SpecArg::StaticSpine(n) => {
-                    let mut list = PVal::Nil;
-                    for i in (0..*n).rev() {
-                        let name = Ident::new(format!("{p}{i}"));
-                        list = PVal::Cons(
-                            Rc::new(PVal::Code(Expr::Var(name))),
-                            Rc::new(list),
-                        );
-                    }
-                    list
-                }
-            });
-        }
+        let program = self.program;
+        let f = program.function(entry).ok_or(SpecError::UnknownEntry(*entry))?;
+        let (mask, vals) = entry_values(f, entry, &args)?;
+        // A session that failed leaves its frames behind.
+        self.stack.clear();
+        self.args.clear();
 
         // The entry is always residualised (it is the program we are
         // generating), keeping its original name.
@@ -499,8 +444,7 @@ impl<'p> Engine<'p> {
             String::new(),
         );
         let mut next = 0;
-        let env: Vec<Rc<PVal>> =
-            vals.iter().map(|v| Rc::new(rebuild(v, &formals, &mut next))).collect();
+        let env = vals.iter().map(|v| rebuild(v, &formals, &mut next)).collect();
         let spec = PendingSpec { target: *entry, mask, env, resid, formals, hash };
         self.construct(spec, sink)?;
         self.drain(sink)?;
@@ -550,23 +494,17 @@ impl<'p> Engine<'p> {
                 self.budget_error(BudgetResource::Pending, Some((spec.target, spec.hash)))
             );
         }
-        let f = self
-            .program
+        let program = self.program;
+        let f = program
             .function(&spec.target)
             .ok_or(SpecError::UnknownFunction(spec.target))?;
-        let body = Arc::clone(&f.body);
-        let mut env = spec.env;
         self.chain.push((spec.target, spec.hash));
         self.resid_stack.push(spec.resid);
-        let result = self.eval(&body, &mut env, spec.mask, spec.target.module, sink)?;
-        let body_expr = self.lift_owned(result, sink)?;
-        if self.options.cost_model == CostModel::Legacy {
-            // The string-based engine allocated one heap `String` per
-            // identifier occurrence while constructing this body (every
-            // `Expr::Var`/`Call` node carried owned strings).
-            legacy_expr_cost(&body_expr);
-            legacy_name_cost(&spec.resid);
-        }
+        let base = self.stack.len();
+        self.stack.extend(spec.env);
+        let result = self.eval(&f.body, base, spec.mask, spec.target.module, sink);
+        self.stack.truncate(base);
+        let body_expr = self.lift_owned(result?, sink)?;
         let def = Def::new(spec.resid.name, spec.formals, body_expr);
         self.stats.specialisations += 1;
         self.stats.residual_nodes += def.body.size();
@@ -680,21 +618,18 @@ impl<'p> Engine<'p> {
         Ident::new(format!("{base}'{}", self.gensym))
     }
 
-    /// Environment lookup under the configured cost model: a
-    /// reference-count bump, or (legacy) the deep clone the
-    /// pre-interning engine performed.
+    /// Slot `i` of the frame starting at `base`: a copy or a refcount
+    /// bump.
     #[inline]
-    fn fetch(&self, env: &[Rc<PVal>], i: usize) -> Rc<PVal> {
-        match self.options.cost_model {
-            CostModel::Interned => Rc::clone(&env[i]),
-            CostModel::Legacy => Rc::new(legacy_clone(&env[i])),
-        }
+    fn slot(&self, base: usize, i: u32) -> Result<PVal, SpecError> {
+        self.stack
+            .get(base + i as usize)
+            .cloned()
+            .ok_or_else(|| internal("environment slot outside the value stack"))
     }
 
-    /// Memo lookup. Interned: O(1) probe on `(target, mask, hash)` plus
-    /// a collision-checked skeleton compare within the bucket. Legacy:
-    /// format the target into a fresh string and deep-copy the
-    /// skeletons, as the old engine's key construction did.
+    /// Memo lookup: an O(1) probe on `(target, mask, hash)` plus a
+    /// collision-checked skeleton compare within the bucket.
     fn memo_find(
         &mut self,
         target: QualName,
@@ -703,16 +638,8 @@ impl<'p> Engine<'p> {
         hash: u64,
     ) -> Option<QualName> {
         self.stats.memo_probes += 1;
-        match self.options.cost_model {
-            CostModel::Interned => {
-                let bucket = self.memo.get(&SpecKey { target, mask: mask.0, hash })?;
-                bucket.iter().find(|(k, _)| k.as_slice() == keys).map(|(_, r)| *r)
-            }
-            CostModel::Legacy => {
-                let key = (target.to_string(), mask.0, keys.to_vec());
-                self.legacy_memo.get(&key).copied()
-            }
-        }
+        let bucket = self.memo.get(&SpecKey { target, mask: mask.0, hash })?;
+        bucket.iter().find(|(k, _)| k.as_slice() == keys).map(|(_, r)| *r)
     }
 
     fn memo_insert(
@@ -723,43 +650,34 @@ impl<'p> Engine<'p> {
         hash: u64,
         resid: QualName,
     ) {
-        match self.options.cost_model {
-            CostModel::Interned => {
-                self.memo
-                    .entry(SpecKey { target, mask: mask.0, hash })
-                    .or_default()
-                    .push((keys, resid));
-            }
-            CostModel::Legacy => {
-                self.legacy_memo.insert((target.to_string(), mask.0, keys), resid);
-            }
-        }
+        self.memo.entry(SpecKey { target, mask: mask.0, hash }).or_default().push((keys, resid));
     }
 
-    /// `mk_resid` plus the unfold decision: the call side of §4.2.
+    /// `mk_resid` plus the unfold decision: the call side of §4.2. The
+    /// `arity` arguments are the top of the argument stack; an unfold
+    /// moves them onto the value stack as the callee's frame.
     fn call(
         &mut self,
         target: &QualName,
         mask: BtMask,
-        args: Vec<Rc<PVal>>,
+        arity: usize,
         sink: &mut dyn ModuleSink,
-    ) -> Result<Rc<PVal>, SpecError> {
-        if self.options.cost_model == CostModel::Legacy {
-            // The pre-interning function index was keyed on string pairs:
-            // every call-site resolution formatted and hashed the names.
-            legacy_name_cost(target);
-        }
-        let f = self
-            .program
-            .function(target)
-            .ok_or(SpecError::UnknownFunction(*target))?;
+    ) -> Result<PVal, SpecError> {
+        let program = self.program;
+        let f = program.function(target).ok_or(SpecError::UnknownFunction(*target))?;
         debug_assert!(f.sig.satisfies(mask), "instantiation violated {target}'s constraints");
+        let start = self
+            .args
+            .len()
+            .checked_sub(arity)
+            .ok_or_else(|| internal("argument stack underflow"))?;
         // Budget gate: every divergence passes through here (recursion
         // in the object language is only via named calls), so this one
         // check point suffices to demote the offending call.
         if self.options.on_exhaustion == OnExhaustion::Generalise
             && self.budget_breached().is_some()
         {
+            let args = self.args.split_off(start);
             return self.generalise(target, args, sink);
         }
         if f.sig.unfoldable_under(mask) {
@@ -787,15 +705,18 @@ impl<'p> Engine<'p> {
                     );
                 }
             }
-            let body = Arc::clone(&f.body);
-            let mut env = args;
+            let base = self.stack.len();
+            self.stack.extend(self.args.drain(start..));
             self.chain.push((*target, 0));
-            let r = self.eval(&body, &mut env, mask, target.module, sink)?;
+            let r = self.eval(&f.body, base, mask, target.module, sink);
+            self.stack.truncate(base);
+            let r = r?;
             self.chain.pop();
             return Ok(r);
         }
 
         // Residualise: split arguments, memoise on the static skeleton.
+        let args = self.args.split_off(start);
         let mut leaves = Vec::new();
         let mut keys = Vec::with_capacity(args.len());
         let mut leaf_names: Vec<Ident> = Vec::new();
@@ -836,12 +757,7 @@ impl<'p> Engine<'p> {
                 Some(&resid),
                 String::new(),
             );
-            if self.options.cost_model == CostModel::Legacy {
-                // The old `CallName::from` cloned the module and
-                // function name strings into the residual call site.
-                legacy_name_cost(&resid);
-            }
-            return Ok(Rc::new(PVal::Code(Expr::Call(CallName::from(resid), leaves))));
+            return Ok(PVal::code(Expr::Call(CallName::from(resid), leaves)));
         }
 
         // New specialisation: name it, place it (§5: at first call,
@@ -851,26 +767,12 @@ impl<'p> Engine<'p> {
                 self.budget_error(BudgetResource::Specialisations, Some((*target, hash)))
             );
         }
-        if self.options.cost_model == CostModel::Legacy {
-            // Naming, placement and provenance in the string-based
-            // engine hashed and cloned qualified-name strings: the
-            // name-counter probe, the placement set inserts (one per
-            // free function) and the two provenance clones.
-            legacy_name_cost(target);
-            legacy_name_cost(target);
-            legacy_name_cost(target);
-        }
         let counter = self.name_counters.entry(*target).or_insert(0);
         *counter += 1;
         let resid_name = Ident::new(format!("{}_{}", target.name, counter));
         let mut free = vec![*target];
         for a in &args {
             a.free_fns(&mut free);
-        }
-        if self.options.cost_model == CostModel::Legacy {
-            for q in &free {
-                legacy_name_cost(q);
-            }
         }
         let module = self.placer.place(&free, self.program.graph());
         let resid = QualName { module, name: resid_name };
@@ -885,17 +787,7 @@ impl<'p> Engine<'p> {
             formals: formals.len(),
         });
         let mut next = 0;
-        let env: Vec<Rc<PVal>> = args
-            .iter()
-            .map(|a| Rc::new(rebuild(a, &formals, &mut next)))
-            .collect();
-        if self.options.cost_model == CostModel::Legacy {
-            // The old `rebuild` cloned each formal's name string into
-            // the `Expr::Var` leaf it planted.
-            for f in &formals {
-                std::hint::black_box(f.as_str().to_string());
-            }
-        }
+        let env = args.iter().map(|a| rebuild(a, &formals, &mut next)).collect();
         let spec = PendingSpec {
             target: *target,
             mask,
@@ -933,7 +825,7 @@ impl<'p> Engine<'p> {
             }
             Strategy::DepthFirst => self.construct(spec, sink)?,
         }
-        Ok(Rc::new(PVal::Code(Expr::Call(CallName::from(resid), leaves))))
+        Ok(PVal::code(Expr::Call(CallName::from(resid), leaves)))
     }
 
     /// Generalising fallback: demote `target` to a fully-dynamic
@@ -953,17 +845,15 @@ impl<'p> Engine<'p> {
     fn generalise(
         &mut self,
         target: &QualName,
-        args: Vec<Rc<PVal>>,
+        args: Vec<PVal>,
         sink: &mut dyn ModuleSink,
-    ) -> Result<Rc<PVal>, SpecError> {
-        let f = self
-            .program
-            .function(target)
-            .ok_or(SpecError::UnknownFunction(*target))?;
+    ) -> Result<PVal, SpecError> {
+        let program = self.program;
+        let f = program.function(target).ok_or(SpecError::UnknownFunction(*target))?;
         let mask = BtMask::all_dynamic(f.sig.vars);
         let mut leaves = Vec::with_capacity(args.len());
-        for a in &args {
-            leaves.push(self.lift(a, sink)?);
+        for a in args {
+            leaves.push(self.lift_owned(a, sink)?);
         }
         let keys = vec![PKey::Hole; leaves.len()];
         let hash = all_holes_hash(leaves.len());
@@ -979,7 +869,7 @@ impl<'p> Engine<'p> {
                 Some(&resid),
                 String::new(),
             );
-            return Ok(Rc::new(PVal::Code(Expr::Call(CallName::from(resid), leaves))));
+            return Ok(PVal::code(Expr::Call(CallName::from(resid), leaves)));
         }
         self.stats.generalised += 1;
         let counter = self.name_counters.entry(*target).or_insert(0);
@@ -1021,8 +911,7 @@ impl<'p> Engine<'p> {
                 },
             );
         }
-        let env: Vec<Rc<PVal>> =
-            formals.iter().map(|x| Rc::new(PVal::Code(Expr::Var(*x)))).collect();
+        let env = formals.iter().map(|x| PVal::code(Expr::Var(*x))).collect();
         let spec = PendingSpec { target: *target, mask, env, resid, formals, hash };
         match self.options.strategy {
             Strategy::BreadthFirst => {
@@ -1032,55 +921,61 @@ impl<'p> Engine<'p> {
             }
             Strategy::DepthFirst => self.construct(spec, sink)?,
         }
-        Ok(Rc::new(PVal::Code(Expr::Call(CallName::from(resid), leaves))))
+        Ok(PVal::code(Expr::Call(CallName::from(resid), leaves)))
     }
 
     /// Evaluates a generating-extension expression under a binding-time
-    /// mask. `module` is the module the expression's source occurs in
-    /// (for closure identity and placement).
+    /// mask, in the frame that starts at `base` on the value stack.
+    /// `module` is the module the expression's source occurs in (for
+    /// closure identity and placement).
     pub(crate) fn eval(
         &mut self,
         e: &GExp,
-        env: &mut Vec<Rc<PVal>>,
+        base: usize,
         mask: BtMask,
         module: ModName,
         sink: &mut dyn ModuleSink,
-    ) -> Result<Rc<PVal>, SpecError> {
+    ) -> Result<PVal, SpecError> {
         self.step()?;
         match e {
-            GExp::Nat(n) => Ok(Rc::new(PVal::Nat(*n))),
-            GExp::Bool(b) => Ok(Rc::new(PVal::Bool(*b))),
-            GExp::Nil => Ok(Rc::new(PVal::Nil)),
-            GExp::Var(i) => Ok(self.fetch(env, *i as usize)),
+            GExp::Nat(n) => Ok(PVal::Nat(*n)),
+            GExp::Bool(b) => Ok(PVal::Bool(*b)),
+            GExp::Nil => Ok(PVal::Nil),
+            GExp::Var(i) => self.slot(base, *i),
             GExp::Prim(op, code, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a, env, mask, module, sink)?);
-                }
-                if code.is_dynamic(mask) {
-                    let mut lifted = Vec::with_capacity(vals.len());
-                    for v in vals {
-                        lifted.push(self.lift_owned(v, sink)?);
+                let (a, b) = match args.as_slice() {
+                    [a] => (self.eval(a, base, mask, module, sink)?, None),
+                    [a, b] => {
+                        let a = self.eval(a, base, mask, module, sink)?;
+                        (a, Some(self.eval(b, base, mask, module, sink)?))
                     }
-                    Ok(Rc::new(PVal::Code(Expr::Prim(*op, lifted))))
+                    _ => return Err(internal("primitive with neither one nor two operands")),
+                };
+                if code.is_dynamic(mask) {
+                    let mut lifted = Vec::with_capacity(args.len());
+                    lifted.push(self.lift_owned(a, sink)?);
+                    if let Some(b) = b {
+                        lifted.push(self.lift_owned(b, sink)?);
+                    }
+                    Ok(PVal::code(Expr::Prim(*op, lifted)))
                 } else {
-                    static_prim(*op, vals)
+                    static_prim(*op, a, b)
                 }
             }
             GExp::If(code, c, t, f) => {
-                let cv = self.eval(c, env, mask, module, sink)?;
+                let cv = self.eval(c, base, mask, module, sink)?;
                 if code.is_dynamic(mask) {
-                    let tv = self.eval_branch(t, env, mask, module, sink)?;
-                    let fv = self.eval_branch(f, env, mask, module, sink)?;
-                    Ok(Rc::new(PVal::Code(Expr::If(
+                    let tv = self.eval_branch(t, base, mask, module, sink)?;
+                    let fv = self.eval_branch(f, base, mask, module, sink)?;
+                    Ok(PVal::code(Expr::If(
                         Box::new(self.lift_owned(cv, sink)?),
                         Box::new(self.lift_owned(tv, sink)?),
                         Box::new(self.lift_owned(fv, sink)?),
-                    ))))
+                    )))
                 } else {
-                    match &*cv {
-                        PVal::Bool(true) => self.eval(t, env, mask, module, sink),
-                        PVal::Bool(false) => self.eval(f, env, mask, module, sink),
+                    match cv {
+                        PVal::Bool(true) => self.eval(t, base, mask, module, sink),
+                        PVal::Bool(false) => self.eval(f, base, mask, module, sink),
                         other => Err(SpecError::TypeConfusion(format!(
                             "static conditional on non-boolean {other:?}"
                         ))),
@@ -1094,35 +989,37 @@ impl<'p> Engine<'p> {
                         callee_mask = callee_mask.set_dynamic(i as u32);
                     }
                 }
-                let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(self.eval(a, env, mask, module, sink)?);
+                    let v = self.eval(a, base, mask, module, sink)?;
+                    self.args.push(v);
                 }
-                self.call(target, callee_mask, vals, sink)
+                self.call(target, callee_mask, args.len(), sink)
             }
             GExp::Lam { param, body, captured, free_fns, lam_id } => {
-                let captured_vals =
-                    captured.iter().map(|s| self.fetch(env, *s as usize)).collect();
-                Ok(Rc::new(PVal::Clo(Rc::new(Closure {
+                let env = captured
+                    .iter()
+                    .map(|s| self.slot(base, *s))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(PVal::Clo(Rc::new(Closure {
                     param: *param,
                     body: Arc::clone(body),
-                    env: captured_vals,
+                    env,
                     free_fns: Arc::clone(free_fns),
                     lam_id: *lam_id,
                     module,
                     mask,
-                }))))
+                })))
             }
             GExp::App(code, f, a) => {
-                let fv = self.eval(f, env, mask, module, sink)?;
-                let av = self.eval(a, env, mask, module, sink)?;
+                let fv = self.eval(f, base, mask, module, sink)?;
+                let av = self.eval(a, base, mask, module, sink)?;
                 if code.is_dynamic(mask) {
-                    Ok(Rc::new(PVal::Code(Expr::App(
+                    Ok(PVal::code(Expr::App(
                         Box::new(self.lift_owned(fv, sink)?),
                         Box::new(self.lift_owned(av, sink)?),
-                    ))))
+                    )))
                 } else {
-                    match &*fv {
+                    match &fv {
                         PVal::Clo(c) => self.apply_closure(c, av, sink),
                         other => Err(SpecError::TypeConfusion(format!(
                             "static application of non-closure {other:?}"
@@ -1131,14 +1028,15 @@ impl<'p> Engine<'p> {
                 }
             }
             GExp::Let(rhs, body) => {
-                let v = self.eval(rhs, env, mask, module, sink)?;
-                env.push(v);
-                let r = self.eval(body, env, mask, module, sink);
-                env.pop();
+                let v = self.eval(rhs, base, mask, module, sink)?;
+                let top = self.stack.len();
+                self.stack.push(v);
+                let r = self.eval(body, base, mask, module, sink);
+                self.stack.truncate(top);
                 r
             }
             GExp::Coerce(spec, inner) => {
-                let v = self.eval(inner, env, mask, module, sink)?;
+                let v = self.eval(inner, base, mask, module, sink)?;
                 self.coerce(spec, v, mask, sink)
             }
         }
@@ -1156,18 +1054,22 @@ impl<'p> Engine<'p> {
     fn eval_branch(
         &mut self,
         e: &GExp,
-        env: &mut Vec<Rc<PVal>>,
+        base: usize,
         mask: BtMask,
         module: ModName,
         sink: &mut dyn ModuleSink,
-    ) -> Result<Rc<PVal>, SpecError> {
+    ) -> Result<PVal, SpecError> {
         let (chain, open) = (self.chain.len(), self.open);
-        match self.eval(e, env, mask, module, sink) {
+        let (stack, args) = (self.stack.len(), self.args.len());
+        match self.eval(e, base, mask, module, sink) {
             Err(err) if self.open == open => match failing_code(&err) {
                 Some(code) => {
-                    // Unfolds cut short by the error leave their frames.
+                    // Unfolds cut short by the error leave their frames
+                    // and their evaluated arguments.
                     self.chain.truncate(chain);
-                    Ok(Rc::new(PVal::Code(code)))
+                    self.stack.truncate(stack);
+                    self.args.truncate(args);
+                    Ok(PVal::code(code))
                 }
                 None => Err(err),
             },
@@ -1178,36 +1080,34 @@ impl<'p> Engine<'p> {
     /// Unfolds a static closure: evaluates its generating function on the
     /// argument, under the closure's *origin* mask (its binding times
     /// refer to the signature variables of the function it was written
-    /// in). The captured frame is shared, not copied.
+    /// in). The frame is the captured values followed by the argument.
     fn apply_closure(
         &mut self,
         c: &Closure,
-        arg: Rc<PVal>,
+        arg: PVal,
         sink: &mut dyn ModuleSink,
-    ) -> Result<Rc<PVal>, SpecError> {
-        let mut env: Vec<Rc<PVal>> = match self.options.cost_model {
-            CostModel::Interned => c.env.clone(),
-            CostModel::Legacy => c.env.iter().map(|e| Rc::new(legacy_clone(e))).collect(),
-        };
-        env.push(arg);
-        let body = Arc::clone(&c.body);
-        self.eval(&body, &mut env, c.mask, c.module, sink)
+    ) -> Result<PVal, SpecError> {
+        let base = self.stack.len();
+        self.stack.extend(c.env.iter().cloned());
+        self.stack.push(arg);
+        let r = self.eval(&c.body, base, c.mask, c.module, sink);
+        self.stack.truncate(base);
+        r
     }
 
     /// Applies a compiled coercion to a value.
     fn coerce(
         &mut self,
         spec: &GCoerce,
-        v: Rc<PVal>,
+        v: PVal,
         mask: BtMask,
         sink: &mut dyn ModuleSink,
-    ) -> Result<Rc<PVal>, SpecError> {
+    ) -> Result<PVal, SpecError> {
         match spec {
             GCoerce::Id => Ok(v),
             GCoerce::Base { from, to } | GCoerce::Fun { from, to } => {
                 if !from.is_dynamic(mask) && to.is_dynamic(mask) {
-                    let e = self.lift_owned(v, sink)?;
-                    Ok(Rc::new(PVal::Code(e)))
+                    Ok(PVal::code(self.lift_owned(v, sink)?))
                 } else {
                     Ok(v)
                 }
@@ -1216,9 +1116,8 @@ impl<'p> Engine<'p> {
                 if from.is_dynamic(mask) {
                     Ok(v) // already code
                 } else if to.is_dynamic(mask) {
-                    let e = self.lift_owned(v, sink)?;
-                    Ok(Rc::new(PVal::Code(e)))
-                } else if *elem_identity {
+                    Ok(PVal::code(self.lift_owned(v, sink)?))
+                } else if *elem_identity || elem.is_noop(mask) {
                     Ok(v)
                 } else {
                     self.coerce_spine(elem, v, mask, sink)
@@ -1230,17 +1129,17 @@ impl<'p> Engine<'p> {
     fn coerce_spine(
         &mut self,
         elem: &GCoerce,
-        v: Rc<PVal>,
+        v: PVal,
         mask: BtMask,
         sink: &mut dyn ModuleSink,
-    ) -> Result<Rc<PVal>, SpecError> {
-        match &*v {
-            PVal::Nil => Ok(Rc::clone(&v)),
-            PVal::Cons(h, t) => {
-                let (h, t) = (Rc::clone(h), Rc::clone(t));
+    ) -> Result<PVal, SpecError> {
+        match v {
+            PVal::Nil => Ok(PVal::Nil),
+            PVal::Cons(c) => {
+                let (h, t) = Rc::try_unwrap(c).unwrap_or_else(|c| (c.0.clone(), c.1.clone()));
                 let h2 = self.coerce(elem, h, mask, sink)?;
                 let t2 = self.coerce_spine(elem, t, mask, sink)?;
-                Ok(Rc::new(PVal::Cons(h2, t2)))
+                Ok(PVal::cons(h2, t2))
             }
             other => Err(SpecError::TypeConfusion(format!(
                 "static-spine coercion applied to {other:?}"
@@ -1253,13 +1152,12 @@ impl<'p> Engine<'p> {
     /// freshly built code).
     pub(crate) fn lift_owned(
         &mut self,
-        v: Rc<PVal>,
+        v: PVal,
         sink: &mut dyn ModuleSink,
     ) -> Result<Expr, SpecError> {
-        match Rc::try_unwrap(v) {
-            Ok(PVal::Code(e)) => Ok(e),
-            Ok(owned) => self.lift(&owned, sink),
-            Err(shared) => self.lift(&shared, sink),
+        match v {
+            PVal::Code(e) => Ok(Rc::try_unwrap(e).unwrap_or_else(|e| (*e).clone())),
+            other => self.lift(&other, sink),
         }
     }
 
@@ -1268,23 +1166,78 @@ impl<'p> Engine<'p> {
     /// dynamic variable).
     fn lift(&mut self, v: &PVal, sink: &mut dyn ModuleSink) -> Result<Expr, SpecError> {
         match v {
-            PVal::Code(e) => Ok(e.clone()),
+            PVal::Code(e) => Ok((**e).clone()),
             PVal::Nat(n) => Ok(Expr::Nat(*n)),
             PVal::Bool(b) => Ok(Expr::Bool(*b)),
             PVal::Nil => Ok(Expr::Nil),
-            PVal::Cons(h, t) => {
-                let h2 = self.lift(h, sink)?;
-                let t2 = self.lift(t, sink)?;
+            PVal::Cons(c) => {
+                let h2 = self.lift(&c.0, sink)?;
+                let t2 = self.lift(&c.1, sink)?;
                 Ok(Expr::Prim(PrimOp::Cons, vec![h2, t2]))
             }
             PVal::Clo(c) => {
                 let x = self.fresh(c.param);
-                let body = self.apply_closure(c, Rc::new(PVal::Code(Expr::Var(x))), sink)?;
+                let body = self.apply_closure(c, PVal::code(Expr::Var(x)), sink)?;
                 let body = self.lift_owned(body, sink)?;
                 Ok(Expr::Lam(x, Box::new(body)))
             }
         }
     }
+}
+
+/// The entry function's argument values and the binding-time mask the
+/// request induces. Dynamic positions reference the residual entry's
+/// formal parameters by their original names; a static spine of `n`
+/// elements becomes `n` formals named after the parameter.
+pub(crate) fn entry_values(
+    f: &GenFn,
+    entry: &QualName,
+    args: &[SpecArg],
+) -> Result<(BtMask, Vec<PVal>), SpecError> {
+    if f.params.len() != args.len() {
+        return Err(SpecError::EntryArity {
+            entry: *entry,
+            expected: f.params.len(),
+            found: args.len(),
+        });
+    }
+    let division = Division(
+        args.iter()
+            .map(|a| match a {
+                SpecArg::Static(_) => ParamBt::Static,
+                SpecArg::Dynamic => ParamBt::Dynamic,
+                SpecArg::StaticSpine(_) => ParamBt::StaticSpine,
+            })
+            .collect(),
+    );
+    let mask = division
+        .mask_for(&f.sig)
+        .map_err(|e| SpecError::TypeConfusion(e.to_string()))?;
+    let mut vals = Vec::with_capacity(args.len());
+    for (a, p) in args.iter().zip(&f.params) {
+        vals.push(match a {
+            SpecArg::Static(v) => PVal::from_value(v).ok_or_else(|| {
+                SpecError::TypeConfusion(format!(
+                    "closure values cannot be specialisation inputs (parameter {p})"
+                ))
+            })?,
+            SpecArg::Dynamic => PVal::code(Expr::Var(*p)),
+            SpecArg::StaticSpine(n) => {
+                let mut list = PVal::Nil;
+                for i in (0..*n).rev() {
+                    let name = Ident::new(format!("{p}{i}"));
+                    list = PVal::cons(PVal::code(Expr::Var(name)), list);
+                }
+                list
+            }
+        });
+    }
+    Ok((mask, vals))
+}
+
+/// An engine invariant broken, e.g. by a malformed generating extension.
+pub(crate) fn internal(what: &str) -> SpecError {
+    SpecError::TypeConfusion(format!("engine internal error: {what}"))
 }
 
 /// Residual code of any type that fails at run time with the error a
@@ -1306,8 +1259,9 @@ fn failing_code(err: &SpecError) -> Option<Expr> {
     Some(prim(PrimOp::Head, list))
 }
 
-/// Performs a static primitive on partial values.
-fn static_prim(op: PrimOp, vals: Vec<Rc<PVal>>) -> Result<Rc<PVal>, SpecError> {
+/// Performs a static primitive on partial values: `b` is the second
+/// operand of a binary primitive, `None` for a unary one.
+fn static_prim(op: PrimOp, a: PVal, b: Option<PVal>) -> Result<PVal, SpecError> {
     use PrimOp::*;
     let nat = |v: &PVal| match v {
         PVal::Nat(n) => Ok(*n),
@@ -1323,83 +1277,38 @@ fn static_prim(op: PrimOp, vals: Vec<Rc<PVal>>) -> Result<Rc<PVal>, SpecError> {
             op.symbol()
         ))),
     };
+    let second = || b.ok_or_else(|| internal("binary primitive with one operand"));
     match op {
-        Add => Ok(Rc::new(PVal::Nat(nat(&vals[0])?.wrapping_add(nat(&vals[1])?)))),
-        Sub => Ok(Rc::new(PVal::Nat(nat(&vals[0])?.saturating_sub(nat(&vals[1])?)))),
-        Mul => Ok(Rc::new(PVal::Nat(nat(&vals[0])?.wrapping_mul(nat(&vals[1])?)))),
-        Div => {
-            let n0 = nat(&vals[0])?;
-            match n0.checked_div(nat(&vals[1])?) {
-                Some(q) => Ok(Rc::new(PVal::Nat(q))),
-                None => Err(SpecError::DivByZero),
-            }
-        }
-        Eq => Ok(Rc::new(PVal::Bool(nat(&vals[0])? == nat(&vals[1])?))),
-        Lt => Ok(Rc::new(PVal::Bool(nat(&vals[0])? < nat(&vals[1])?))),
-        Leq => Ok(Rc::new(PVal::Bool(nat(&vals[0])? <= nat(&vals[1])?))),
-        And => Ok(Rc::new(PVal::Bool(boolean(&vals[0])? && boolean(&vals[1])?))),
-        Or => Ok(Rc::new(PVal::Bool(boolean(&vals[0])? || boolean(&vals[1])?))),
-        Not => Ok(Rc::new(PVal::Bool(!boolean(&vals[0])?))),
-        Cons => Ok(Rc::new(PVal::Cons(Rc::clone(&vals[0]), Rc::clone(&vals[1])))),
-        Head => match &*vals[0] {
-            PVal::Cons(h, _) => Ok(Rc::clone(h)),
+        Add => Ok(PVal::Nat(nat(&a)?.wrapping_add(nat(&second()?)?))),
+        Sub => Ok(PVal::Nat(nat(&a)?.saturating_sub(nat(&second()?)?))),
+        Mul => Ok(PVal::Nat(nat(&a)?.wrapping_mul(nat(&second()?)?))),
+        Div => match nat(&a)?.checked_div(nat(&second()?)?) {
+            Some(q) => Ok(PVal::Nat(q)),
+            None => Err(SpecError::DivByZero),
+        },
+        Eq => Ok(PVal::Bool(nat(&a)? == nat(&second()?)?)),
+        Lt => Ok(PVal::Bool(nat(&a)? < nat(&second()?)?)),
+        Leq => Ok(PVal::Bool(nat(&a)? <= nat(&second()?)?)),
+        And => Ok(PVal::Bool(boolean(&a)? && boolean(&second()?)?)),
+        Or => Ok(PVal::Bool(boolean(&a)? || boolean(&second()?)?)),
+        Not => Ok(PVal::Bool(!boolean(&a)?)),
+        Cons => Ok(PVal::cons(a, second()?)),
+        Head => match a {
+            PVal::Cons(c) => Ok(c.0.clone()),
             PVal::Nil => Err(SpecError::EmptyList("head")),
             other => Err(SpecError::TypeConfusion(format!("static head of {other:?}"))),
         },
-        Tail => match &*vals[0] {
-            PVal::Cons(_, t) => Ok(Rc::clone(t)),
+        Tail => match a {
+            PVal::Cons(c) => Ok(c.1.clone()),
             PVal::Nil => Err(SpecError::EmptyList("tail")),
             other => Err(SpecError::TypeConfusion(format!("static tail of {other:?}"))),
         },
-        Null => match &*vals[0] {
-            PVal::Nil => Ok(Rc::new(PVal::Bool(true))),
-            PVal::Cons(..) => Ok(Rc::new(PVal::Bool(false))),
+        Null => match a {
+            PVal::Nil => Ok(PVal::Bool(true)),
+            PVal::Cons(..) => Ok(PVal::Bool(false)),
             other => Err(SpecError::TypeConfusion(format!("static null of {other:?}"))),
         },
     }
-}
-
-/// The deep clone the string-based engine performed on every variable
-/// lookup and closure-environment copy ([`CostModel::Legacy`] only).
-///
-/// Post-interning, a structural clone of an `Expr` is nearly free — the
-/// identifiers are `u32` symbols. The old engine's identifiers were
-/// heap `String`s, so cloning a `Code` value allocated and copied one
-/// string per identifier occurrence. [`legacy_name_cost`] materialises
-/// exactly those allocations so the legacy model charges what the old
-/// engine actually paid.
-fn legacy_clone(v: &PVal) -> PVal {
-    let cloned = v.clone();
-    if let PVal::Code(e) = &cloned {
-        legacy_expr_cost(e);
-    }
-    cloned
-}
-
-/// Allocates the strings a pre-interning clone of `e` would have.
-fn legacy_expr_cost(e: &Expr) {
-    e.visit(&mut |n| match n {
-        Expr::Var(x) | Expr::Lam(x, _) | Expr::Let(x, ..) => {
-            std::hint::black_box(x.as_str().to_string());
-        }
-        Expr::Call(c, _) => {
-            if let Some(m) = &c.module {
-                std::hint::black_box(m.as_str().to_string());
-            }
-            std::hint::black_box(c.name.as_str().to_string());
-        }
-        _ => {}
-    });
-}
-
-/// The string formatting + hashing a pre-interning qualified-name lookup
-/// performed on every call-site resolution.
-fn legacy_name_cost(q: &QualName) {
-    use std::hash::{Hash as _, Hasher as _};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    q.module.as_str().hash(&mut h);
-    q.name.as_str().hash(&mut h);
-    std::hint::black_box(h.finish());
 }
 
 /// Makes names unique by appending primed counters to duplicates.
@@ -1429,10 +1338,6 @@ pub(crate) fn uniquify(names: Vec<Ident>) -> Vec<Ident> {
 mod tests {
     use super::*;
 
-    fn rc(v: PVal) -> Rc<PVal> {
-        Rc::new(v)
-    }
-
     #[test]
     fn uniquify_keeps_distinct_names() {
         let names = vec![Ident::new("a"), Ident::new("b")];
@@ -1450,12 +1355,12 @@ mod tests {
 
     #[test]
     fn static_prim_arithmetic() {
-        let add = static_prim(PrimOp::Add, vec![rc(PVal::Nat(2)), rc(PVal::Nat(3))]).unwrap();
-        assert!(matches!(&*add, PVal::Nat(5)));
-        let sub = static_prim(PrimOp::Sub, vec![rc(PVal::Nat(2)), rc(PVal::Nat(3))]).unwrap();
-        assert!(matches!(&*sub, PVal::Nat(0)));
+        let add = static_prim(PrimOp::Add, PVal::Nat(2), Some(PVal::Nat(3))).unwrap();
+        assert!(matches!(add, PVal::Nat(5)));
+        let sub = static_prim(PrimOp::Sub, PVal::Nat(2), Some(PVal::Nat(3))).unwrap();
+        assert!(matches!(sub, PVal::Nat(0)));
         assert!(matches!(
-            static_prim(PrimOp::Div, vec![rc(PVal::Nat(1)), rc(PVal::Nat(0))]),
+            static_prim(PrimOp::Div, PVal::Nat(1), Some(PVal::Nat(0))),
             Err(SpecError::DivByZero)
         ));
     }
@@ -1463,22 +1368,26 @@ mod tests {
     #[test]
     fn static_prim_lists_allow_dynamic_elements() {
         // A partially static list: static cons with a code head.
-        let code = rc(PVal::Code(Expr::Var(Ident::new("x"))));
-        let cons = static_prim(PrimOp::Cons, vec![code, rc(PVal::Nil)]).unwrap();
-        let head = static_prim(PrimOp::Head, vec![Rc::clone(&cons)]).unwrap();
-        assert!(matches!(&*head, PVal::Code(_)));
-        let null = static_prim(PrimOp::Null, vec![cons]).unwrap();
-        assert!(matches!(&*null, PVal::Bool(false)));
+        let code = PVal::code(Expr::Var(Ident::new("x")));
+        let cons = static_prim(PrimOp::Cons, code, Some(PVal::Nil)).unwrap();
+        let head = static_prim(PrimOp::Head, cons.clone(), None).unwrap();
+        assert!(matches!(head, PVal::Code(_)));
+        let null = static_prim(PrimOp::Null, cons, None).unwrap();
+        assert!(matches!(null, PVal::Bool(false)));
     }
 
     #[test]
     fn static_prim_type_confusion_is_reported() {
         assert!(matches!(
-            static_prim(PrimOp::Add, vec![rc(PVal::Bool(true)), rc(PVal::Nat(1))]),
+            static_prim(PrimOp::Add, PVal::Bool(true), Some(PVal::Nat(1))),
             Err(SpecError::TypeConfusion(_))
         ));
         assert!(matches!(
-            static_prim(PrimOp::Head, vec![rc(PVal::Nat(1))]),
+            static_prim(PrimOp::Head, PVal::Nat(1), None),
+            Err(SpecError::TypeConfusion(_))
+        ));
+        assert!(matches!(
+            static_prim(PrimOp::Add, PVal::Nat(1), None),
             Err(SpecError::TypeConfusion(_))
         ));
     }

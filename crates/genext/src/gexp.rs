@@ -92,6 +92,21 @@ pub enum GCoerce {
 }
 
 impl GCoerce {
+    /// `true` if applying the coercion under `mask` leaves every value
+    /// as it is, so a static spine need not be walked and rebuilt.
+    pub(crate) fn is_noop(&self, mask: BtMask) -> bool {
+        match self {
+            GCoerce::Id => true,
+            GCoerce::Base { from, to } | GCoerce::Fun { from, to } => {
+                from.is_dynamic(mask) || !to.is_dynamic(mask)
+            }
+            GCoerce::List { from, to, elem, elem_identity } => {
+                from.is_dynamic(mask)
+                    || (!to.is_dynamic(mask) && (*elem_identity || elem.is_noop(mask)))
+            }
+        }
+    }
+
     /// Compiles a coercion spec.
     pub fn compile(spec: &CoerceSpec) -> GCoerce {
         match spec {

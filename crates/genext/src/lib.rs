@@ -44,7 +44,7 @@ pub mod value;
 
 pub use budget::{BudgetResource, CancelToken, OnExhaustion, SpecBudget};
 pub use emit::{FileSink, MemorySink, ModuleSink, ResidualProgram};
-pub use engine::{CostModel, Engine, EngineOptions, Provenance, SpecArg, SpecStats, Strategy};
+pub use engine::{Engine, EngineOptions, Provenance, SpecArg, SpecStats, Strategy};
 pub use error::SpecError;
 pub use gexp::{BtCode, FnUnit, GExp, GenFn, GenModule, GenProgram, LinkUnit};
 pub use parallel::{specialise_streaming_threaded, specialise_threaded, ParallelOutcome};

@@ -39,12 +39,12 @@
 use crate::budget::{BudgetResource, OnExhaustion};
 use crate::emit::{assemble, MemorySink, ModuleSink, NullSink, ResidualProgram};
 use crate::engine::{
-    uniquify, CostModel, Engine, EngineOptions, Provenance, SpecArg, SpecKey, SpecStats, Strategy,
+    entry_values, uniquify, Engine, EngineOptions, Provenance, SpecArg, SpecKey,
+    SpecStats, Strategy,
 };
 use crate::error::SpecError;
 use crate::gexp::{GenProgram, GExp};
 use crate::value::{hash_fold, split_hashed, Closure, PKey, PVal, SKELETON_SEED};
-use mspec_bta::division::{Division, ParamBt};
 use mspec_bta::BtMask;
 use mspec_lang::ast::{CallName, Def, Expr, Ident, ModName, QualName};
 use mspec_telemetry::{Decision, Recorder, SpecEvent};
@@ -105,13 +105,13 @@ impl SendPVal {
             PVal::Nat(n) => SendPVal::Nat(*n),
             PVal::Bool(b) => SendPVal::Bool(*b),
             PVal::Nil => SendPVal::Nil,
-            PVal::Cons(h, t) => {
-                SendPVal::Cons(Box::new(Self::from_pval(h)), Box::new(Self::from_pval(t)))
+            PVal::Cons(c) => {
+                SendPVal::Cons(Box::new(Self::from_pval(&c.0)), Box::new(Self::from_pval(&c.1)))
             }
             PVal::Clo(c) => SendPVal::Clo(Box::new(SendClosure {
                 param: c.param,
                 body: Arc::clone(&c.body),
-                env: c.env.iter().map(|e| Self::from_pval(e)).collect(),
+                env: c.env.iter().map(Self::from_pval).collect(),
                 free_fns: Arc::clone(&c.free_fns),
                 lam_id: c.lam_id,
                 module: c.module,
@@ -132,11 +132,10 @@ impl SendPVal {
             SendPVal::Cons(h, t) => {
                 let h2 = h.rebuild(names, next);
                 let t2 = t.rebuild(names, next);
-                PVal::Cons(Rc::new(h2), Rc::new(t2))
+                PVal::cons(h2, t2)
             }
             SendPVal::Clo(c) => {
-                let env =
-                    c.env.iter().map(|e| Rc::new(e.rebuild(names, next))).collect();
+                let env = c.env.iter().map(|e| e.rebuild(names, next)).collect();
                 PVal::Clo(Rc::new(Closure {
                     param: c.param,
                     body: Arc::clone(&c.body),
@@ -150,7 +149,7 @@ impl SendPVal {
             SendPVal::Code => {
                 let name = names[*next];
                 *next += 1;
-                PVal::Code(Expr::Var(name))
+                PVal::code(Expr::Var(name))
             }
         }
     }
@@ -427,12 +426,12 @@ impl<'p> Engine<'p> {
         target: &QualName,
         vars: u32,
         mask: BtMask,
-        args: &[Rc<PVal>],
+        args: &[PVal],
         keys: Vec<PKey>,
         leaves: Vec<Expr>,
         leaf_names: Vec<Ident>,
         hash: u64,
-    ) -> Result<Rc<PVal>, SpecError> {
+    ) -> Result<PVal, SpecError> {
         self.stats.memo_probes += 1;
         let enabled = self.recorder.is_enabled();
         let chain_depth = self.chain.len() as u64;
@@ -463,7 +462,7 @@ impl<'p> Engine<'p> {
                     steps_at,
                 })));
             }
-            return Ok(Rc::new(PVal::Code(Expr::Call(CallName::from(found), leaves))));
+            return Ok(PVal::code(Expr::Call(CallName::from(found), leaves)));
         }
 
         // Claimed earlier in this very body: reuse its placeholder (the
@@ -488,10 +487,7 @@ impl<'p> Engine<'p> {
                     steps_at,
                 })));
             }
-            return Ok(Rc::new(PVal::Code(Expr::Call(
-                CallName { module: Some(pm), name: ph },
-                leaves,
-            ))));
+            return Ok(PVal::code(Expr::Call(CallName { module: Some(pm), name: ph }, leaves)));
         }
 
         // A genuinely new request: claim a placeholder.
@@ -514,7 +510,7 @@ impl<'p> Engine<'p> {
             hash,
             leaf_names,
             free,
-            args: args.iter().map(|a| SendPVal::from_pval(a)).collect(),
+            args: args.iter().map(SendPVal::from_pval).collect(),
             placeholder: ph,
             chain_depth,
             steps_at,
@@ -522,10 +518,7 @@ impl<'p> Engine<'p> {
         });
         par.ops.push(ParOp::Claim { req: req_idx });
         let pm = par.par_mod;
-        Ok(Rc::new(PVal::Code(Expr::Call(
-            CallName { module: Some(pm), name: ph },
-            leaves,
-        ))))
+        Ok(PVal::code(Expr::Call(CallName { module: Some(pm), name: ph }, leaves)))
     }
 
     /// Evaluates one frontier definition in worker mode, returning the
@@ -541,23 +534,24 @@ impl<'p> Engine<'p> {
             par.fresh_log.clear();
             par.local_claims.clear();
         }
-        let f = self
-            .program
+        let program = self.program;
+        let f = program
             .function(&item.target)
             .ok_or(SpecError::UnknownFunction(item.target))?;
-        let body = Arc::clone(&f.body);
+        // The frames of a definition that errored out are left behind.
+        self.stack.clear();
+        self.args.clear();
         let mut next = 0usize;
-        let mut env: Vec<Rc<PVal>> = item
-            .args
-            .iter()
-            .map(|a| Rc::new(a.rebuild(&item.formals, &mut next)))
-            .collect();
+        self.stack.extend(item.args.iter().map(|a| a.rebuild(&item.formals, &mut next)));
         self.chain.push((item.target, item.hash));
         self.resid_stack.push(item.resid);
         let mut sink = NullSink;
         let result = self
-            .eval(&body, &mut env, item.mask, item.target.module, &mut sink)
-            .and_then(|v| self.lift_owned(v, &mut sink));
+            .eval(&f.body, 0, item.mask, item.target.module, &mut sink)
+            .and_then(|v| {
+                self.stack.clear();
+                self.lift_owned(v, &mut sink)
+            });
         self.resid_stack.pop();
         self.chain.pop();
         let body_expr = result?;
@@ -889,7 +883,7 @@ pub struct ParallelOutcome {
 ///
 /// Falls back to the sequential engine in-process when the options
 /// demand orderings the round-based driver does not reproduce
-/// (depth-first strategy, generalising fallback, legacy cost model) —
+/// (depth-first strategy, generalising fallback) —
 /// and when `threads` is 1: a single synchronous worker consuming the
 /// frontier in breadth-first order *is* the sequential engine, so the
 /// placeholder/replay decomposition would only add overhead. Routing
@@ -914,8 +908,7 @@ pub fn specialise_streaming_threaded(
 ) -> Result<ParallelOutcome, SpecError> {
     let parallelisable = threads.get() > 1
         && options.strategy == Strategy::BreadthFirst
-        && options.on_exhaustion == OnExhaustion::Error
-        && options.cost_model == CostModel::Interned;
+        && options.on_exhaustion == OnExhaustion::Error;
     if !parallelisable {
         let mut eng = Engine::with_recorder(program, options, recorder);
         let resid = eng.specialise_streaming(entry, args, sink)?;
@@ -933,44 +926,7 @@ pub fn specialise_streaming_threaded(
     // fuel pool replace them.
     let mut eng = Engine::with_recorder(program, options, recorder.clone());
     let f = program.function(entry).ok_or(SpecError::UnknownEntry(*entry))?;
-    if f.params.len() != args.len() {
-        return Err(SpecError::EntryArity {
-            entry: *entry,
-            expected: f.params.len(),
-            found: args.len(),
-        });
-    }
-    let division = Division(
-        args.iter()
-            .map(|a| match a {
-                SpecArg::Static(_) => ParamBt::Static,
-                SpecArg::Dynamic => ParamBt::Dynamic,
-                SpecArg::StaticSpine(_) => ParamBt::StaticSpine,
-            })
-            .collect(),
-    );
-    let mask = division
-        .mask_for(&f.sig)
-        .map_err(|e| SpecError::TypeConfusion(e.to_string()))?;
-    let mut vals = Vec::with_capacity(args.len());
-    for (a, p) in args.iter().zip(&f.params) {
-        vals.push(match a {
-            SpecArg::Static(v) => PVal::from_value(v).ok_or_else(|| {
-                SpecError::TypeConfusion(format!(
-                    "closure values cannot be specialisation inputs (parameter {p})"
-                ))
-            })?,
-            SpecArg::Dynamic => PVal::Code(Expr::Var(*p)),
-            SpecArg::StaticSpine(n) => {
-                let mut list = PVal::Nil;
-                for i in (0..*n).rev() {
-                    let name = Ident::new(format!("{p}{i}"));
-                    list = PVal::Cons(Rc::new(PVal::Code(Expr::Var(name))), Rc::new(list));
-                }
-                list
-            }
-        });
-    }
+    let (mask, vals) = entry_values(f, entry, &args)?;
     let mut leaves = Vec::new();
     let mut keys = Vec::with_capacity(vals.len());
     let mut hash = SKELETON_SEED;
@@ -1175,9 +1131,9 @@ mod tests {
 
     #[test]
     fn send_pval_rebuild_matches_sequential_rebuild() {
-        let v = PVal::Cons(
-            Rc::new(PVal::Code(Expr::Nat(7))),
-            Rc::new(PVal::Cons(Rc::new(PVal::Nat(3)), Rc::new(PVal::Code(Expr::Nil)))),
+        let v = PVal::cons(
+            PVal::code(Expr::Nat(7)),
+            PVal::cons(PVal::Nat(3), PVal::code(Expr::Nil)),
         );
         let names = vec![Ident::new("a"), Ident::new("b")];
         let mut n1 = 0;

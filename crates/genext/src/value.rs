@@ -19,6 +19,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 /// A partial (specialisation-time) value.
+///
+/// Scalars travel inline; only cons cells, closures and code are
+/// reference-counted, so cloning a value is a copy or one refcount bump
+/// and a literal or a static primitive result allocates nothing.
 #[derive(Debug, Clone)]
 pub enum PVal {
     /// A known natural.
@@ -27,12 +31,13 @@ pub enum PVal {
     Bool(bool),
     /// The known empty list.
     Nil,
-    /// A known cons cell (the parts may contain dynamic leaves).
-    Cons(Rc<PVal>, Rc<PVal>),
+    /// A known cons cell, head and tail in one allocation (either part
+    /// may contain dynamic leaves).
+    Cons(Rc<(PVal, PVal)>),
     /// A static closure.
     Clo(Rc<Closure>),
     /// Residual code.
-    Code(Expr),
+    Code(Rc<Expr>),
 }
 
 /// A static closure: the paper's Similix-style closure extended with the
@@ -44,9 +49,9 @@ pub struct Closure {
     pub param: Ident,
     /// The compiled body; its frame is `env` followed by the parameter.
     pub body: Arc<GExp>,
-    /// Captured values, shared with the frame they were captured from
-    /// (applying a closure never deep-copies its environment).
-    pub env: Vec<Rc<PVal>>,
+    /// Captured values, copied out of the frame they were captured from
+    /// (each copy is a scalar or a refcount bump).
+    pub env: Vec<PVal>,
     /// Named functions reachable from the body (for placement).
     pub free_fns: Arc<Vec<QualName>>,
     /// Identity of the lambda site within its module.
@@ -61,6 +66,16 @@ pub struct Closure {
 }
 
 impl PVal {
+    /// A cons cell.
+    pub fn cons(head: PVal, tail: PVal) -> PVal {
+        PVal::Cons(Rc::new((head, tail)))
+    }
+
+    /// Residual code.
+    pub fn code(e: Expr) -> PVal {
+        PVal::Code(Rc::new(e))
+    }
+
     /// Converts an interpreter [`Value`] into a partial value.
     ///
     /// Returns `None` for closures: run-time function values cannot be
@@ -70,10 +85,7 @@ impl PVal {
             Value::Nat(n) => Some(PVal::Nat(*n)),
             Value::Bool(b) => Some(PVal::Bool(*b)),
             Value::Nil => Some(PVal::Nil),
-            Value::Cons(h, t) => Some(PVal::Cons(
-                Rc::new(PVal::from_value(h)?),
-                Rc::new(PVal::from_value(t)?),
-            )),
+            Value::Cons(h, t) => Some(PVal::cons(PVal::from_value(h)?, PVal::from_value(t)?)),
             Value::Closure(_) => None,
         }
     }
@@ -82,8 +94,8 @@ impl PVal {
     pub fn is_fully_static(&self) -> bool {
         match self {
             PVal::Nat(_) | PVal::Bool(_) | PVal::Nil => true,
-            PVal::Cons(h, t) => h.is_fully_static() && t.is_fully_static(),
-            PVal::Clo(c) => c.env.iter().all(|e| e.is_fully_static()),
+            PVal::Cons(c) => c.0.is_fully_static() && c.1.is_fully_static(),
+            PVal::Clo(c) => c.env.iter().all(PVal::is_fully_static),
             PVal::Code(_) => false,
         }
     }
@@ -95,9 +107,9 @@ impl PVal {
     pub fn free_fns(&self, out: &mut Vec<QualName>) {
         match self {
             PVal::Nat(_) | PVal::Bool(_) | PVal::Nil | PVal::Code(_) => {}
-            PVal::Cons(h, t) => {
-                h.free_fns(out);
-                t.free_fns(out);
+            PVal::Cons(c) => {
+                c.0.free_fns(out);
+                c.1.free_fns(out);
             }
             PVal::Clo(c) => {
                 for f in c.free_fns.iter() {
@@ -211,10 +223,10 @@ fn split_into(v: &PVal, leaves: &mut Vec<Expr>, h: &mut u64) -> PKey {
             mix(h, 3);
             PKey::Nil
         }
-        PVal::Cons(hd, tl) => {
+        PVal::Cons(c) => {
             mix(h, 4);
-            let hk = split_into(hd, leaves, h);
-            let tk = split_into(tl, leaves, h);
+            let hk = split_into(&c.0, leaves, h);
+            let tk = split_into(&c.1, leaves, h);
             PKey::Cons(Box::new(hk), Box::new(tk))
         }
         PVal::Clo(c) => {
@@ -228,7 +240,7 @@ fn split_into(v: &PVal, leaves: &mut Vec<Expr>, h: &mut u64) -> PKey {
         }
         PVal::Code(e) => {
             mix(h, 6);
-            leaves.push(e.clone());
+            leaves.push((**e).clone());
             PKey::Hole
         }
     }
@@ -240,13 +252,13 @@ fn split_into(v: &PVal, leaves: &mut Vec<Expr>, h: &mut u64) -> PKey {
 pub fn rebuild(v: &PVal, names: &[Ident], next: &mut usize) -> PVal {
     match v {
         PVal::Nat(_) | PVal::Bool(_) | PVal::Nil => v.clone(),
-        PVal::Cons(h, t) => {
-            let h2 = rebuild(h, names, next);
-            let t2 = rebuild(t, names, next);
-            PVal::Cons(Rc::new(h2), Rc::new(t2))
+        PVal::Cons(c) => {
+            let h2 = rebuild(&c.0, names, next);
+            let t2 = rebuild(&c.1, names, next);
+            PVal::cons(h2, t2)
         }
         PVal::Clo(c) => {
-            let env = c.env.iter().map(|e| Rc::new(rebuild(e, names, next))).collect();
+            let env = c.env.iter().map(|e| rebuild(e, names, next)).collect();
             PVal::Clo(Rc::new(Closure {
                 param: c.param,
                 body: Arc::clone(&c.body),
@@ -260,7 +272,7 @@ pub fn rebuild(v: &PVal, names: &[Ident], next: &mut usize) -> PVal {
         PVal::Code(_) => {
             let name = names[*next];
             *next += 1;
-            PVal::Code(Expr::Var(name))
+            PVal::code(Expr::Var(name))
         }
     }
 }
@@ -272,7 +284,7 @@ pub fn to_value(v: &PVal) -> Option<Value> {
         PVal::Nat(n) => Some(Value::Nat(*n)),
         PVal::Bool(b) => Some(Value::Bool(*b)),
         PVal::Nil => Some(Value::Nil),
-        PVal::Cons(h, t) => Some(Value::Cons(Rc::new(to_value(h)?), Rc::new(to_value(t)?))),
+        PVal::Cons(c) => Some(Value::Cons(Rc::new(to_value(&c.0)?), Rc::new(to_value(&c.1)?))),
         PVal::Clo(_) | PVal::Code(_) => None,
     }
 }
@@ -284,11 +296,11 @@ pub fn quote_static(v: &PVal) -> Option<Expr> {
         PVal::Nat(n) => Some(Expr::Nat(*n)),
         PVal::Bool(b) => Some(Expr::Bool(*b)),
         PVal::Nil => Some(Expr::Nil),
-        PVal::Cons(h, t) => Some(Expr::Prim(
+        PVal::Cons(c) => Some(Expr::Prim(
             PrimOp::Cons,
-            vec![quote_static(h)?, quote_static(t)?],
+            vec![quote_static(&c.0)?, quote_static(&c.1)?],
         )),
-        PVal::Code(e) => Some(e.clone()),
+        PVal::Code(e) => Some((**e).clone()),
         PVal::Clo(_) => None, // closures need the engine's eta-expansion
     }
 }
@@ -301,7 +313,7 @@ mod tests {
         PVal::Clo(Rc::new(Closure {
             param: Ident::new("x"),
             body: Arc::new(GExp::Var(0)),
-            env: env.into_iter().map(Rc::new).collect(),
+            env,
             free_fns: Arc::new(vec![QualName::new("P", "power")]),
             lam_id: 7,
             module: ModName::new("B"),
@@ -319,7 +331,7 @@ mod tests {
 
     #[test]
     fn split_fully_static_has_no_leaves() {
-        let p = PVal::Cons(Rc::new(PVal::Nat(1)), Rc::new(PVal::Nil));
+        let p = PVal::cons(PVal::Nat(1), PVal::Nil);
         let mut leaves = Vec::new();
         let k = split(&p, &mut leaves);
         assert!(leaves.is_empty());
@@ -329,12 +341,9 @@ mod tests {
     #[test]
     fn split_collects_dynamic_leaves_in_order() {
         // cons(code(a), cons(2, code(b)))
-        let p = PVal::Cons(
-            Rc::new(PVal::Code(Expr::Var(Ident::new("a")))),
-            Rc::new(PVal::Cons(
-                Rc::new(PVal::Nat(2)),
-                Rc::new(PVal::Code(Expr::Var(Ident::new("b")))),
-            )),
+        let p = PVal::cons(
+            PVal::code(Expr::Var(Ident::new("a"))),
+            PVal::cons(PVal::Nat(2), PVal::code(Expr::Var(Ident::new("b")))),
         );
         let mut leaves = Vec::new();
         let k = split(&p, &mut leaves);
@@ -357,7 +366,7 @@ mod tests {
             let mut leaves = Vec::new();
             let mut acc = SKELETON_SEED;
             for i in 0..n {
-                let v = PVal::Code(Expr::Var(Ident::new(format!("x{i}"))));
+                let v = PVal::code(Expr::Var(Ident::new(format!("x{i}"))));
                 let (k, h) = split_hashed(&v, &mut leaves);
                 assert_eq!(k, PKey::Hole);
                 acc = hash_fold(acc, h);
@@ -368,33 +377,30 @@ mod tests {
 
     #[test]
     fn closures_key_on_site_and_static_env() {
-        let c1 = clo(vec![PVal::Nat(1), PVal::Code(Expr::Var(Ident::new("z")))]);
-        let c2 = clo(vec![PVal::Nat(1), PVal::Code(Expr::Var(Ident::new("w")))]);
+        let c1 = clo(vec![PVal::Nat(1), PVal::code(Expr::Var(Ident::new("z")))]);
+        let c2 = clo(vec![PVal::Nat(1), PVal::code(Expr::Var(Ident::new("w")))]);
         let mut l1 = Vec::new();
         let mut l2 = Vec::new();
         // Same static parts, different dynamic leaves → same key.
         assert_eq!(split(&c1, &mut l1), split(&c2, &mut l2));
         assert_eq!(l1.len(), 1);
         // Different static env → different key.
-        let c3 = clo(vec![PVal::Nat(2), PVal::Code(Expr::Var(Ident::new("z")))]);
+        let c3 = clo(vec![PVal::Nat(2), PVal::code(Expr::Var(Ident::new("z")))]);
         let mut l3 = Vec::new();
         assert_ne!(split(&c1, &mut l1), split(&c3, &mut l3));
     }
 
     #[test]
     fn rebuild_replaces_leaves_with_formals() {
-        let p = PVal::Cons(
-            Rc::new(PVal::Code(Expr::Nat(13))),
-            Rc::new(PVal::Nat(5)),
-        );
+        let p = PVal::cons(PVal::code(Expr::Nat(13)), PVal::Nat(5));
         let names = vec![Ident::new("d0")];
         let mut next = 0;
         let rebuilt = rebuild(&p, &names, &mut next);
         assert_eq!(next, 1);
         match rebuilt {
-            PVal::Cons(h, t) => {
-                assert!(matches!(&*h, PVal::Code(Expr::Var(n)) if n.as_str() == "d0"));
-                assert!(matches!(&*t, PVal::Nat(5)));
+            PVal::Cons(c) => {
+                assert!(matches!(&c.0, PVal::Code(e) if matches!(&**e, Expr::Var(n) if n.as_str() == "d0")));
+                assert!(matches!(&c.1, PVal::Nat(5)));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -402,13 +408,13 @@ mod tests {
 
     #[test]
     fn rebuild_reaches_into_closure_envs() {
-        let c = clo(vec![PVal::Code(Expr::Nat(13))]);
+        let c = clo(vec![PVal::code(Expr::Nat(13))]);
         let names = vec![Ident::new("z0")];
         let mut next = 0;
         let rebuilt = rebuild(&c, &names, &mut next);
         match rebuilt {
             PVal::Clo(c2) => {
-                assert!(matches!(&*c2.env[0], PVal::Code(Expr::Var(n)) if n.as_str() == "z0"));
+                assert!(matches!(&c2.env[0], PVal::Code(e) if matches!(&**e, Expr::Var(n) if n.as_str() == "z0")));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -416,12 +422,12 @@ mod tests {
 
     #[test]
     fn free_fns_sees_through_structure() {
-        let p = PVal::Cons(Rc::new(clo(vec![])), Rc::new(PVal::Nil));
+        let p = PVal::cons(clo(vec![]), PVal::Nil);
         let mut fns = Vec::new();
         p.free_fns(&mut fns);
         assert_eq!(fns, vec![QualName::new("P", "power")]);
         // Functions inside dynamic leaves are NOT collected.
-        let dynamic = PVal::Code(Expr::Call(
+        let dynamic = PVal::code(Expr::Call(
             mspec_lang::CallName::resolved("X", "f"),
             vec![],
         ));
@@ -432,7 +438,7 @@ mod tests {
 
     #[test]
     fn quote_static_builds_literals() {
-        let p = PVal::Cons(Rc::new(PVal::Nat(1)), Rc::new(PVal::Nil));
+        let p = PVal::cons(PVal::Nat(1), PVal::Nil);
         let e = quote_static(&p).unwrap();
         assert_eq!(
             e,

@@ -91,16 +91,34 @@ impl Value {
     /// Collects a list value into a vector (`None` for non-lists).
     pub fn as_list(&self) -> Option<Vec<Value>> {
         let mut out = Vec::new();
-        let mut cur = self.clone();
+        let mut cur = self;
         loop {
             match cur {
                 Value::Nil => return Some(out),
                 Value::Cons(h, t) => {
-                    out.push((*h).clone());
-                    cur = (*t).clone();
+                    out.push((**h).clone());
+                    cur = t;
                 }
                 _ => return None,
             }
+        }
+    }
+}
+
+impl Drop for Value {
+    fn drop(&mut self) {
+        // Dropping a long list must not recurse one host frame per cell:
+        // move the rest of the spine out of each uniquely-owned tail and
+        // unlink it in a loop. A shared tail just loses one reference
+        // and ends the walk.
+        let Value::Cons(_, tail) = self else { return };
+        let Some(tail) = Rc::get_mut(tail) else { return };
+        let mut next = std::mem::replace(tail, Value::Nil);
+        while let Value::Cons(_, tail) = &mut next {
+            let Some(tail) = Rc::get_mut(tail) else { break };
+            let rest = std::mem::replace(tail, Value::Nil);
+            // The old `next` now ends in Nil, so its own drop is shallow.
+            next = rest;
         }
     }
 }
@@ -401,7 +419,7 @@ impl<'p> Evaluator<'p> {
             Expr::App(f, a) => {
                 let fv = self.eval(f, env)?;
                 let av = self.eval(a, env)?;
-                match fv {
+                match &fv {
                     Value::Closure(c) => {
                         let env2 = c.env.bind(c.param, av);
                         self.eval(&c.body, &env2)
@@ -489,6 +507,18 @@ mod tests {
             .find(|q| q.name.as_str() == "main")
             .expect("program has a main");
         ev.call(&main, args)
+    }
+
+    #[test]
+    fn dropping_a_long_list_does_not_recurse_per_cell() {
+        // A recursive drop needs a host frame per cell, far more than
+        // this thread's 64 KiB stack holds.
+        std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(|| drop(Value::list((0..100_000).map(Value::nat).collect())))
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub enum VmVal {
     Bool(bool),
     /// The empty list.
     Nil,
-    /// A cons cell.
-    Cons(Rc<VmVal>, Rc<VmVal>),
+    /// A cons cell: head and tail in one allocation, so taking either
+    /// apart is one refcount bump.
+    Cons(Rc<(VmVal, VmVal)>),
     /// A function value: a lambda-table index and its captured values.
     Clo(Rc<VmClosure>),
 }
@@ -79,7 +80,7 @@ impl VmVal {
                 }
                 let mut acc = VmVal::from_value(cur)?;
                 for h in spine.into_iter().rev() {
-                    acc = VmVal::Cons(Rc::new(h), Rc::new(acc));
+                    acc = VmVal::Cons(Rc::new((h, acc)));
                 }
                 Ok(acc)
             }
@@ -103,9 +104,9 @@ impl VmVal {
             VmVal::Cons(..) => {
                 let mut spine = Vec::new();
                 let mut cur = self;
-                while let VmVal::Cons(h, t) = cur {
-                    spine.push(h.to_value()?);
-                    cur = t;
+                while let VmVal::Cons(c) = cur {
+                    spine.push(c.0.to_value()?);
+                    cur = &c.1;
                 }
                 let mut acc = cur.to_value()?;
                 for h in spine.into_iter().rev() {
@@ -140,27 +141,20 @@ impl VmVal {
     }
 }
 
-thread_local! {
-    /// Shared empty-list sentinel for the iterative drop below; cloning
-    /// it is a refcount bump, not an allocation.
-    static NIL: Rc<VmVal> = Rc::new(VmVal::Nil);
-}
-
 impl Drop for VmVal {
     fn drop(&mut self) {
         // Dropping a long list must not recurse one host frame per cell:
-        // steal each uniquely-owned tail and unlink the spine in a loop.
-        // A shared tail just loses one reference and ends the walk.
-        let VmVal::Cons(_, tail) = self else { return };
-        let mut next = NIL.with(|n| std::mem::replace(tail, n.clone()));
-        while let Ok(mut v) = Rc::try_unwrap(next) {
-            match &mut v {
-                VmVal::Cons(_, tail) => {
-                    next = NIL.with(|n| std::mem::replace(tail, n.clone()));
-                    // `v` now ends in Nil, so its own drop is shallow.
-                }
-                _ => break,
-            }
+        // move the tail out of each uniquely-owned cell and unlink the
+        // spine in a loop. A shared cell just loses one reference and
+        // ends the walk.
+        let VmVal::Cons(cell) = self else { return };
+        let Some(cell) = Rc::get_mut(cell) else { return };
+        let mut next = std::mem::replace(&mut cell.1, VmVal::Nil);
+        while let VmVal::Cons(cell) = &mut next {
+            let Some(cell) = Rc::get_mut(cell) else { break };
+            let tail = std::mem::replace(&mut cell.1, VmVal::Nil);
+            // The old `next` now ends in Nil, so its own drop is shallow.
+            next = tail;
         }
     }
 }
@@ -179,13 +173,13 @@ impl fmt::Display for VmVal {
                 let mut first = true;
                 loop {
                     match cur {
-                        VmVal::Cons(h, t) => {
+                        VmVal::Cons(c) => {
                             if !first {
                                 write!(f, ", ")?;
                             }
                             first = false;
-                            write!(f, "{h}")?;
-                            cur = t;
+                            write!(f, "{}", c.0)?;
+                            cur = &c.1;
                         }
                         VmVal::Nil => return write!(f, "]"),
                         other => return write!(f, "| {other}]"),
@@ -197,12 +191,12 @@ impl fmt::Display for VmVal {
     }
 }
 
-/// One call frame: the function's (or lambda's) local slots plus where
-/// to resume in the caller, and which chunk the caller was executing
-/// (profile attribution only — control flow never reads it).
+/// One call frame: where its local slots start on the shared slot
+/// stack, where to resume in the caller, and which chunk the caller was
+/// executing (profile attribution only — control flow never reads it).
 #[derive(Debug)]
 struct Frame {
-    locals: Vec<VmVal>,
+    base: usize,
     ret_pc: usize,
     ret_chunk: usize,
 }
@@ -330,11 +324,11 @@ impl<'p> Vm<'p> {
                 args.len()
             )));
         }
-        let locals = args
-            .iter()
-            .map(VmVal::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        self.run_at(f.entry, idx as usize, locals)?.to_value()
+        let mut slots = Vec::with_capacity(32);
+        for a in &args {
+            slots.push(VmVal::from_value(a)?);
+        }
+        self.run_at(f.entry, idx as usize, slots)?.to_value()
     }
 
     /// Flushes the instruction delta since `mark` onto `chunk`'s
@@ -350,12 +344,22 @@ impl<'p> Vm<'p> {
     }
 
     /// The dispatch loop: executes from `entry` (an address in chunk
-    /// `chunk`) with the given frame until the outermost chunk returns.
-    fn run_at(&mut self, entry: u32, chunk: usize, locals: Vec<VmVal>) -> Result<VmVal, EvalError> {
+    /// `chunk`) with the entry frame's slots until the outermost chunk
+    /// returns. All frames share one slot stack — a frame is the window
+    /// from its base to the top — so calls, applications and `let`
+    /// bindings move values rather than allocate frames.
+    fn run_at(
+        &mut self,
+        entry: u32,
+        chunk: usize,
+        mut slots: Vec<VmVal>,
+    ) -> Result<VmVal, EvalError> {
         let code = self.bc.code();
         let mut stack: Vec<VmVal> = Vec::with_capacity(32);
-        let mut frames: Vec<Frame> = vec![Frame { locals, ret_pc: 0, ret_chunk: chunk }];
+        let mut frames: Vec<Frame> = vec![Frame { base: 0, ret_pc: 0, ret_chunk: chunk }];
         self.note_depth(frames.len(), stack.len());
+        // Base of the current (topmost) frame's slots.
+        let mut base = 0;
         let mut pc = entry as usize;
         // Profile attribution state: instructions spent since `mark`
         // belong to `cur_chunk`; flushed at every frame transition.
@@ -366,39 +370,17 @@ impl<'p> Vm<'p> {
             match instr {
                 Instr::Const(c) => {
                     self.spend()?;
-                    let k = self
-                        .bc
-                        .consts()
-                        .get(c as usize)
-                        .ok_or_else(|| internal("constant index out of range"))?;
-                    stack.push(match k {
-                        Const::Nat(n) => VmVal::Nat(*n),
-                        Const::Bool(b) => VmVal::Bool(*b),
-                        Const::Nil => VmVal::Nil,
-                    });
+                    stack.push(self.constant(c)?);
                     pc += 1;
                 }
                 Instr::Load(s) => {
                     self.spend()?;
-                    let fr = frames.last().ok_or_else(|| internal("no frame"))?;
-                    let v = fr
-                        .locals
-                        .get(s as usize)
-                        .ok_or_else(|| internal("slot out of range"))?
-                        .clone();
-                    stack.push(v);
+                    stack.push(slot(&slots, base, s)?.clone());
                     pc += 1;
                 }
                 Instr::Prim(op) => {
                     self.spend()?;
-                    let r = if op.arity() == 1 {
-                        let a = stack.pop().ok_or_else(|| internal("stack underflow"))?;
-                        apply_prim1(op, &a)?
-                    } else {
-                        let b = stack.pop().ok_or_else(|| internal("stack underflow"))?;
-                        let a = stack.pop().ok_or_else(|| internal("stack underflow"))?;
-                        apply_prim2(op, &a, &b)?
-                    };
+                    let r = apply_prim(op, &mut stack)?;
                     stack.push(r);
                     pc += 1;
                 }
@@ -422,12 +404,13 @@ impl<'p> Vm<'p> {
                         .fns()
                         .get(i as usize)
                         .ok_or_else(|| internal("function index out of range"))?;
-                    let n = f.arity as usize;
-                    if stack.len() < n {
-                        return Err(internal("stack underflow"));
-                    }
-                    let locals = stack.split_off(stack.len() - n);
-                    frames.push(Frame { locals, ret_pc: pc + 1, ret_chunk: cur_chunk });
+                    let args = stack
+                        .len()
+                        .checked_sub(f.arity as usize)
+                        .ok_or_else(|| internal("stack underflow"))?;
+                    base = slots.len();
+                    slots.extend(stack.drain(args..));
+                    frames.push(Frame { base, ret_pc: pc + 1, ret_chunk: cur_chunk });
                     self.note_depth(frames.len(), stack.len());
                     if self.profile.is_some() {
                         self.attribute(cur_chunk, &mut mark);
@@ -442,16 +425,10 @@ impl<'p> Vm<'p> {
                         .lambdas()
                         .get(l as usize)
                         .ok_or_else(|| internal("lambda index out of range"))?;
-                    let fr = frames.last().ok_or_else(|| internal("no frame"))?;
                     let env = lam
                         .captures
                         .iter()
-                        .map(|s| {
-                            fr.locals
-                                .get(*s as usize)
-                                .cloned()
-                                .ok_or_else(|| internal("capture slot out of range"))
-                        })
+                        .map(|s| slot(&slots, base, *s).cloned())
                         .collect::<Result<Vec<_>, _>>()?;
                     stack.push(VmVal::Clo(Rc::new(VmClosure { lambda: l, env })));
                     pc += 1;
@@ -467,9 +444,10 @@ impl<'p> Vm<'p> {
                                 .lambdas()
                                 .get(c.lambda as usize)
                                 .ok_or_else(|| internal("lambda index out of range"))?;
-                            let mut locals = c.env.clone();
-                            locals.push(arg);
-                            frames.push(Frame { locals, ret_pc: pc + 1, ret_chunk: cur_chunk });
+                            base = slots.len();
+                            slots.extend(c.env.iter().cloned());
+                            slots.push(arg);
+                            frames.push(Frame { base, ret_pc: pc + 1, ret_chunk: cur_chunk });
                             self.note_depth(frames.len(), stack.len());
                             if self.profile.is_some() {
                                 self.attribute(cur_chunk, &mut mark);
@@ -487,31 +465,27 @@ impl<'p> Vm<'p> {
                 Instr::Bind => {
                     self.spend()?;
                     let v = stack.pop().ok_or_else(|| internal("stack underflow"))?;
-                    frames
-                        .last_mut()
-                        .ok_or_else(|| internal("no frame"))?
-                        .locals
-                        .push(v);
+                    slots.push(v);
                     pc += 1;
                 }
                 Instr::Unbind => {
-                    frames
-                        .last_mut()
-                        .ok_or_else(|| internal("no frame"))?
-                        .locals
-                        .pop()
-                        .ok_or_else(|| internal("unbind of empty frame"))?;
+                    if slots.len() <= base {
+                        return Err(internal("unbind of empty frame"));
+                    }
+                    slots.pop();
                     pc += 1;
                 }
                 Instr::Return => {
                     let fr = frames.pop().ok_or_else(|| internal("no frame"))?;
+                    slots.truncate(fr.base);
                     if self.profile.is_some() {
                         self.attribute(cur_chunk, &mut mark);
                     }
                     cur_chunk = fr.ret_chunk;
-                    if frames.is_empty() {
+                    let Some(caller) = frames.last() else {
                         return stack.pop().ok_or_else(|| internal("stack underflow"));
-                    }
+                    };
+                    base = caller.base;
                     pc = fr.ret_pc;
                 }
 
@@ -526,42 +500,20 @@ impl<'p> Vm<'p> {
                 // only at frame pushes and no fused window contains one.
                 Instr::LoadConstPrim(s, c, op) => {
                     self.spend()?; // Load
-                    let fr = frames.last().ok_or_else(|| internal("no frame"))?;
-                    let a = fr
-                        .locals
-                        .get(s as usize)
-                        .ok_or_else(|| internal("slot out of range"))?;
+                    let a = slot(&slots, base, s)?.clone();
                     self.spend()?; // Const
-                    let k = *self
-                        .bc
-                        .consts()
-                        .get(c as usize)
-                        .ok_or_else(|| internal("constant index out of range"))?;
-                    let b = match k {
-                        Const::Nat(n) => VmVal::Nat(n),
-                        Const::Bool(b) => VmVal::Bool(b),
-                        Const::Nil => VmVal::Nil,
-                    };
+                    let b = self.constant(c)?;
                     self.spend()?; // Prim
-                    let r = apply_prim2(op, a, &b)?;
-                    stack.push(r);
+                    stack.push(apply_prim2(op, a, b)?);
                     pc += 1;
                 }
                 Instr::LoadLoadPrim(a, b, op) => {
                     self.spend()?; // Load a
                     self.spend()?; // Load b
-                    let fr = frames.last().ok_or_else(|| internal("no frame"))?;
-                    let va = fr
-                        .locals
-                        .get(a as usize)
-                        .ok_or_else(|| internal("slot out of range"))?;
-                    let vb = fr
-                        .locals
-                        .get(b as usize)
-                        .ok_or_else(|| internal("slot out of range"))?;
+                    let va = slot(&slots, base, a)?.clone();
+                    let vb = slot(&slots, base, b)?.clone();
                     self.spend()?; // Prim
-                    let r = apply_prim2(op, va, vb)?;
-                    stack.push(r);
+                    stack.push(apply_prim2(op, va, vb)?);
                     pc += 1;
                 }
                 Instr::ConstJumpIfFalse(c, t) => {
@@ -587,50 +539,76 @@ impl<'p> Vm<'p> {
                 }
                 Instr::PrimReturn(op) => {
                     self.spend()?; // Prim
-                    let r = if op.arity() == 1 {
-                        let a = stack.pop().ok_or_else(|| internal("stack underflow"))?;
-                        apply_prim1(op, &a)?
-                    } else {
-                        let b = stack.pop().ok_or_else(|| internal("stack underflow"))?;
-                        let a = stack.pop().ok_or_else(|| internal("stack underflow"))?;
-                        apply_prim2(op, &a, &b)?
-                    };
+                    let r = apply_prim(op, &mut stack)?;
                     // Return (fuel: 0)
                     let fr = frames.pop().ok_or_else(|| internal("no frame"))?;
+                    slots.truncate(fr.base);
                     if self.profile.is_some() {
                         self.attribute(cur_chunk, &mut mark);
                     }
                     cur_chunk = fr.ret_chunk;
-                    if frames.is_empty() {
+                    let Some(caller) = frames.last() else {
                         return Ok(r);
-                    }
+                    };
+                    base = caller.base;
                     stack.push(r);
                     pc = fr.ret_pc;
                 }
             }
         }
     }
+
+    /// Constant-pool entry `c` as a value.
+    #[inline]
+    fn constant(&self, c: u32) -> Result<VmVal, EvalError> {
+        match self.bc.consts().get(c as usize) {
+            Some(Const::Nat(n)) => Ok(VmVal::Nat(*n)),
+            Some(Const::Bool(b)) => Ok(VmVal::Bool(*b)),
+            Some(Const::Nil) => Ok(VmVal::Nil),
+            None => Err(internal("constant index out of range")),
+        }
+    }
+}
+
+/// Slot `s` of the frame starting at `base`.
+#[inline]
+fn slot(slots: &[VmVal], base: usize, s: u16) -> Result<&VmVal, EvalError> {
+    slots.get(base + s as usize).ok_or_else(|| internal("slot out of range"))
+}
+
+/// Pops a primitive's operands off the operand stack by value and
+/// applies it.
+#[inline]
+fn apply_prim(op: PrimOp, stack: &mut Vec<VmVal>) -> Result<VmVal, EvalError> {
+    if op.arity() == 1 {
+        let a = stack.pop().ok_or_else(|| internal("stack underflow"))?;
+        apply_prim1(op, a)
+    } else {
+        let b = stack.pop().ok_or_else(|| internal("stack underflow"))?;
+        let a = stack.pop().ok_or_else(|| internal("stack underflow"))?;
+        apply_prim2(op, a, b)
+    }
 }
 
 /// Unary primitives, semantics identical to [`crate::eval::apply_prim`].
-fn apply_prim1(op: PrimOp, a: &VmVal) -> Result<VmVal, EvalError> {
+fn apply_prim1(op: PrimOp, a: VmVal) -> Result<VmVal, EvalError> {
     match op {
         PrimOp::Not => Ok(VmVal::Bool(!a.as_bool(op)?)),
-        PrimOp::Head => match a {
-            VmVal::Cons(h, _) => Ok((**h).clone()),
+        PrimOp::Head => match &a {
+            VmVal::Cons(c) => Ok(c.0.clone()),
             VmVal::Nil => Err(EvalError::EmptyList("head")),
             other => Err(EvalError::TypeMismatch(format!(
                 "head expects a list, got {other}"
             ))),
         },
-        PrimOp::Tail => match a {
-            VmVal::Cons(_, t) => Ok((**t).clone()),
+        PrimOp::Tail => match &a {
+            VmVal::Cons(c) => Ok(c.1.clone()),
             VmVal::Nil => Err(EvalError::EmptyList("tail")),
             other => Err(EvalError::TypeMismatch(format!(
                 "tail expects a list, got {other}"
             ))),
         },
-        PrimOp::Null => match a {
+        PrimOp::Null => match &a {
             VmVal::Nil => Ok(VmVal::Bool(true)),
             VmVal::Cons(..) => Ok(VmVal::Bool(false)),
             other => Err(EvalError::TypeMismatch(format!(
@@ -643,7 +621,7 @@ fn apply_prim1(op: PrimOp, a: &VmVal) -> Result<VmVal, EvalError> {
 
 /// Binary primitives, semantics identical to [`crate::eval::apply_prim`]
 /// (wrapping add/mul, saturating sub, checked div, strict and/or).
-fn apply_prim2(op: PrimOp, a: &VmVal, b: &VmVal) -> Result<VmVal, EvalError> {
+fn apply_prim2(op: PrimOp, a: VmVal, b: VmVal) -> Result<VmVal, EvalError> {
     match op {
         PrimOp::Add => Ok(VmVal::Nat(a.as_nat(op)?.wrapping_add(b.as_nat(op)?))),
         PrimOp::Sub => Ok(VmVal::Nat(a.as_nat(op)?.saturating_sub(b.as_nat(op)?))),
@@ -657,7 +635,7 @@ fn apply_prim2(op: PrimOp, a: &VmVal, b: &VmVal) -> Result<VmVal, EvalError> {
         PrimOp::Leq => Ok(VmVal::Bool(a.as_nat(op)? <= b.as_nat(op)?)),
         PrimOp::And => Ok(VmVal::Bool(a.as_bool(op)? && b.as_bool(op)?)),
         PrimOp::Or => Ok(VmVal::Bool(a.as_bool(op)? || b.as_bool(op)?)),
-        PrimOp::Cons => Ok(VmVal::Cons(Rc::new(a.clone()), Rc::new(b.clone()))),
+        PrimOp::Cons => Ok(VmVal::Cons(Rc::new((a, b)))),
         other => Err(internal(&format!("binary dispatch of unary {other:?}"))),
     }
 }
@@ -887,21 +865,15 @@ mod tests {
 
     #[test]
     fn deep_fold_runs_in_constant_host_stack() {
-        // Sum a 100k-element list with non-tail recursion: 100k nested
-        // frames live on the heap, not the host stack. Only the input
-        // needs a big-stack thread — `eval::Value`'s derived drop still
-        // recurses along the spine; the VM itself never does.
-        crate::eval::with_big_stack(|| {
-            let src = "module M where\n\
-                       sum xs = if null xs then 0 else head xs + sum (tail xs)\n\
-                       main ys = sum ys\n";
-            let n = 100_000u64;
-            let ys = Value::list((0..n).map(Value::nat).collect());
-            assert_eq!(
-                run_main(src, vec![ys]).unwrap(),
-                Value::nat(n * (n - 1) / 2)
-            );
-        });
+        // Sum a 100k-element list with non-tail recursion on an ordinary
+        // test thread: 100k nested frames live on the heap, not the host
+        // stack, and both value types drop their spines iteratively.
+        let src = "module M where\n\
+                   sum xs = if null xs then 0 else head xs + sum (tail xs)\n\
+                   main ys = sum ys\n";
+        let n = 100_000u64;
+        let ys = Value::list((0..n).map(Value::nat).collect());
+        assert_eq!(run_main(src, vec![ys]).unwrap(), Value::nat(n * (n - 1) / 2));
     }
 
     #[test]

@@ -374,12 +374,8 @@ impl Resident {
         if let Some(m) = req.max_spec {
             budget.max_specialisations = m;
         }
-        let options = EngineOptions {
-            strategy: req.strategy,
-            budget,
-            on_exhaustion: req.on_exhaustion,
-            ..EngineOptions::default()
-        };
+        let options =
+            EngineOptions { strategy: req.strategy, budget, on_exhaustion: req.on_exhaustion };
 
         let mut engine = Engine::with_recorder(&gen, options, rec.clone());
         engine.set_cancel_token(cancel);

@@ -221,7 +221,7 @@ fi
 test -s target/bench-smoke/BENCH_pr9.json \
   || { echo "cache_table wrote no BENCH_pr9.json"; exit 1; }
 
-echo "==> perfbench self-tests + 3 s smoke of each workload (offline)"
+echo "==> perfbench self-tests + 3 s smoke of each workload + traced spec-run (offline)"
 # The benchmark checks every output against its oracles (tree-evaluated
 # source, whole-program residuals, batch specialisation), which no
 # other step runs. A short seeded run of each workload must exit 0 and
@@ -237,6 +237,17 @@ for WORKLOAD in spec-run serve-mix; do
     *) echo "perfbench ${WORKLOAD} smoke failed: ${SUMMARY}"; exit 1 ;;
   esac
 done
+# The traced spec-run path drives `Engine::specialise`,
+# `bytecode::compile`, `fuse_chunks` and `Vm` directly and checks every
+# op against the facade and the tree evaluator: the oracle for the
+# generating-extension engine and the VM layer by layer.
+timeout 300 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload spec-run --seed 7 --seconds 3 --trace 1 > target/perfbench-spec-run-traced.out
+SUMMARY=$(tail -n 1 target/perfbench-spec-run-traced.out)
+case "${SUMMARY}" in
+  *'"correct": true,'*'"failed": 0,'*) echo "    spec-run traced: correct, 0 failed" ;;
+  *) echo "perfbench traced spec-run failed: ${SUMMARY}"; exit 1 ;;
+esac
 
 echo "==> cargo clippy --all-targets -- -D warnings (offline)"
 cargo clippy --all-targets --offline -- -D warnings

@@ -424,7 +424,8 @@ fn kill_mid_write_never_exposes_partial_artefacts() {
 #[test]
 fn daemon_survives_the_chaos_matrix() {
     use mspec_serve::{
-        ErrorClass, Request, RequestKind, Response, ResponseBody, ServeConfig, Server, SpecRequest,
+        ErrorClass, Request, RequestKind, Response, ResponseBody, RunRequest, ServeConfig, Server,
+        SpecRequest,
     };
     use mspec_lang::{FromJson, ToJson};
     use mspec_telemetry::Recorder;
@@ -544,6 +545,30 @@ fn daemon_survives_the_chaos_matrix() {
     let e = assert_error(resp, ErrorClass::Budget);
     assert!(!e.retryable, "budget exhaustion is terminal for this request");
     assert!(e.stats.is_some(), "budget replies carry partial stats");
+
+    // 9. A `run` whose argument is a million-element list, stopped by
+    // its fuel after one instruction: dropping the input must not
+    // recurse once per cell and overflow the worker's stack, which
+    // would kill the daemon with every in-flight request.
+    const LISTS: &str = "module Lists where\n\
+                         map f xs = if null xs then [] else f @ (head xs) : map f (tail xs)\n\
+                         sum xs = if null xs then 0 else head xs + sum (tail xs)\n\
+                         module App where\n\
+                         import Lists\n\
+                         weighted w xs = sum (map (\\x -> x * w) xs)\n";
+    let mut values = String::from("[0");
+    values.push_str(&";0".repeat(999_999));
+    values.push(']');
+    let resp = c.roundtrip(&Request {
+        id: 11,
+        kind: RequestKind::Run(RunRequest {
+            spec: SpecRequest::inline(LISTS, "App.weighted", "S:3,D"),
+            values,
+            run_fuel: Some(1),
+        }),
+    });
+    assert_eq!(resp.id, 11);
+    assert!(matches!(resp.body, ResponseBody::Error(_)), "{resp:?}");
 
     // After the whole matrix: the surviving connection still works...
     assert_spec_ok(c.roundtrip(&spec_req(9, 4)), 9);

@@ -1,13 +1,13 @@
-//! Golden residual-program tests for PR 1's engine rewrite.
+//! Golden residual-program tests.
 //!
-//! The interned-symbol engine must be observationally identical to the
-//! string engine it replaced: residual programs are compared *byte for
-//! byte* against pretty-printed snapshots captured before the rewrite
-//! (`tests/golden/*.txt`), under both cost models. A drift in naming,
-//! ordering, placement or layout fails these tests even when the
-//! residual program still computes the right values.
+//! Every engine rewrite must be observationally identical to the engine
+//! it replaced: residual programs are compared *byte for byte* against
+//! pretty-printed snapshots captured before the first rewrite
+//! (`tests/golden/*.txt`). A drift in naming, ordering, placement or
+//! layout fails these tests even when the residual program still
+//! computes the right values.
 
-use mspec_core::{CostModel, EngineOptions, Pipeline, SpecArg, Specialised};
+use mspec_core::{Pipeline, SpecArg, Specialised};
 use mspec_lang::builder;
 use mspec_lang::eval::Value;
 use mspec_lang::QualName;
@@ -16,39 +16,15 @@ use std::collections::BTreeSet;
 const POWER: &str =
     "module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\n";
 
-/// Specialises under both cost models, asserts the residual sources are
-/// byte-identical to each other, and returns the interned-model result.
-fn spec_both_models(
-    pipeline: &Pipeline,
-    module: &str,
-    name: &str,
-    args: Vec<SpecArg>,
-) -> Specialised {
-    let run = |cost_model| {
-        pipeline
-            .specialise_opts(
-                module,
-                name,
-                args.clone(),
-                EngineOptions { cost_model, ..EngineOptions::default() },
-            )
-            .unwrap()
-    };
-    let interned = run(CostModel::Interned);
-    let legacy = run(CostModel::Legacy);
-    assert_eq!(
-        interned.source(),
-        legacy.source(),
-        "cost models must not change residual code"
-    );
-    interned
+fn spec(pipeline: &Pipeline, module: &str, name: &str, args: Vec<SpecArg>) -> Specialised {
+    pipeline.specialise(module, name, args).unwrap()
 }
 
 /// §2 `power {S,D}` with n = 3: fully unfolds to the cube expression.
 #[test]
 fn golden_power_s3_unfolded() {
     let p = Pipeline::from_source(POWER).unwrap();
-    let s = spec_both_models(
+    let s = spec(
         &p,
         "Power",
         "power",
@@ -63,7 +39,7 @@ fn golden_power_s3_unfolded() {
 fn golden_power_s3_forced_chain() {
     let forced: BTreeSet<QualName> = [QualName::new("Power", "power")].into();
     let p = Pipeline::from_source_with(POWER, &forced).unwrap();
-    let s = spec_both_models(
+    let s = spec(
         &p,
         "Power",
         "power",
@@ -84,7 +60,7 @@ fn golden_section5_placement() {
     ]
     .into();
     let p = Pipeline::from_program_with(builder::paper_section5_program(), &forced).unwrap();
-    let s = spec_both_models(&p, "Main", "main", vec![SpecArg::Dynamic]);
+    let s = spec(&p, "Main", "main", vec![SpecArg::Dynamic]);
     assert_eq!(s.source(), include_str!("golden/section5_placement.txt"));
 }
 
@@ -92,8 +68,7 @@ fn golden_section5_placement() {
 /// for the same specialisation of `power`, whose body re-requests
 /// itself recursively. The first request misses and creates the
 /// residual; the self-recursive probe and the second call site's probe
-/// both hit. Counters must agree across cost models — `Legacy` adds
-/// cost, never behaviour.
+/// both hit.
 #[test]
 fn memo_counters_for_repeated_requests() {
     let src = "module Power where\n\
@@ -102,22 +77,13 @@ fn memo_counters_for_repeated_requests() {
                import Power\n\
                main n = Power.power n 2 + Power.power n 2\n";
     let p = Pipeline::from_source(src).unwrap();
-    for cost_model in [CostModel::Interned, CostModel::Legacy] {
-        let s = p
-            .specialise_opts(
-                "Main",
-                "main",
-                vec![SpecArg::Dynamic],
-                EngineOptions { cost_model, ..EngineOptions::default() },
-            )
-            .unwrap();
-        assert_eq!(s.stats.memo_probes, 3, "{cost_model:?}");
-        assert_eq!(s.stats.memo_hits, 2, "{cost_model:?}");
-        // One residual function materialised despite three requests.
-        let power = s.residual.program.module("Power").unwrap();
-        assert_eq!(power.defs.len(), 1);
-        assert_eq!(s.run(vec![Value::nat(5)]).unwrap(), Value::nat(64));
-    }
+    let s = spec(&p, "Main", "main", vec![SpecArg::Dynamic]);
+    assert_eq!(s.stats.memo_probes, 3);
+    assert_eq!(s.stats.memo_hits, 2);
+    // One residual function materialised despite three requests.
+    let power = s.residual.program.module("Power").unwrap();
+    assert_eq!(power.defs.len(), 1);
+    assert_eq!(s.run(vec![Value::nat(5)]).unwrap(), Value::nat(64));
 }
 
 /// A fresh session over the same pipeline starts with fresh counters —
