@@ -25,7 +25,7 @@ use mspec_bench::workloads::{encoded_expr, prepared_library, INTERP, POWER};
 use mspec_bench::{cores, time_min, us};
 use mspec_cogen::{build, link_dir_traced, BuildOptions};
 use mspec_core::telemetry::FlightRing;
-use mspec_core::{BuildMode, EngineOptions, Pipeline, Recorder, SpecArg};
+use mspec_core::{EngineOptions, Pipeline, Recorder, SpecArg};
 use mspec_genext::Engine;
 use mspec_lang::bytecode::compile;
 use mspec_lang::eval::{with_big_stack, Value, DEFAULT_FUEL};
@@ -104,9 +104,7 @@ fn residual_vm(
 fn pipeline_session(rec: &Recorder) -> Duration {
     time_min(60, || {
         let program = parse_program(POWER).unwrap();
-        let (p, _) =
-            Pipeline::from_program_traced(program, &BTreeSet::new(), BuildMode::Sequential, rec)
-                .unwrap();
+        let (p, _) = Pipeline::from_program_traced(program, &BTreeSet::new(), rec).unwrap();
         p.specialise_traced(
             "Power",
             "power",
@@ -326,13 +324,8 @@ fn per_request_replay_identity() -> (bool, usize) {
         .map(|&n| {
             let brec = Recorder::enabled();
             let program = parse_program(POWER).expect("parse");
-            let (p, _) = Pipeline::from_program_traced(
-                program,
-                &BTreeSet::new(),
-                BuildMode::Sequential,
-                &brec,
-            )
-            .expect("build");
+            let (p, _) =
+                Pipeline::from_program_traced(program, &BTreeSet::new(), &brec).expect("build");
             p.specialise_traced(
                 "Power",
                 "power",
@@ -410,11 +403,11 @@ fn run() {
     let library_row =
         residual_vm("library_16x8_defs", &library, vec![Value::nat(9)], 200, &baselines);
 
-    // --- per-phase build times (sequential, so phases don't overlap) --
-    let (_, phases) = Pipeline::from_program_timed(
+    // --- per-phase build times ----------------------------------------
+    let (_, phases) = Pipeline::from_program_traced(
         parse_program(POWER).unwrap(),
         &BTreeSet::new(),
-        BuildMode::Sequential,
+        &Recorder::disabled(),
     )
     .unwrap();
 

@@ -2,7 +2,7 @@
 //!
 //! Run: `cargo run --release -p mspec-bench --bin serve_table`
 //!
-//! Three scenarios, all over loopback TCP against an in-process server:
+//! Two scenarios, both over loopback TCP against an in-process server:
 //!
 //! * **throughput** — closed-loop clients at 1, 2 and 4 connections,
 //!   each issuing a stream of distinct `Power` specialisation requests;
@@ -12,33 +12,23 @@
 //! * **overload** — a deliberately tiny queue (1 worker, depth 4) hit
 //!   by 8 clients with no backoff; reports the shed rate and the p99
 //!   over *all* replies, demonstrating that load-shedding keeps the
-//!   tail bounded instead of letting queueing delay grow without bound;
-//! * **spec_scaling** (carry-forward of the PR 6 multi-core item) — the
-//!   skewed chain-vs-fan workload under `specialise_threaded` at 1, 2
-//!   and `cores()` threads, with `cores` recorded so readers can
-//!   interpret the ratios on this machine.
+//!   tail bounded instead of letting queueing delay grow without bound.
 //!
 //! Writes machine-readable results to `BENCH_pr7.json`.
 
-use mspec_bench::{cores, time_min, us};
-use mspec_core::{EngineOptions, Pipeline, Recorder, SpecArg};
+use mspec_bench::{cores, us};
+use mspec_core::Recorder;
 use mspec_lang::eval::with_big_stack;
-use mspec_lang::{FromJson, Json, QualName, ToJson};
+use mspec_lang::{FromJson, Json, ToJson};
 use mspec_serve::{Request, RequestKind, Response, ResponseBody, ServeConfig, Server, SpecRequest};
-use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 const POWER: &str = "module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\n";
 
 fn obj(fields: Vec<(String, Json)>) -> Json {
     Json::Obj(fields)
-}
-
-fn milli_ratio(x: f64) -> Json {
-    Json::Num((x * 1000.0).round().max(0.0) as u128)
 }
 
 fn percentile(sorted_ns: &[u128], p: usize) -> u128 {
@@ -210,57 +200,6 @@ fn run_overload(port: u16, clients: usize, per_client: usize) -> OverloadResult 
     }
 }
 
-/// The PR 6 skewed chain-vs-fan specialisation workload, carried
-/// forward: one deep forced-residual chain races a fan of short ones.
-fn skewed_spec_pipeline() -> (Pipeline, QualName) {
-    let mut src = String::from(
-        "module Deep where\nwalk n x = if n == 1 then x else x + walk (n - 1) x\n\
-         module Main where\nimport Deep\nmain x = walk 160 x",
-    );
-    for k in 0..24 {
-        src.push_str(&format!(" + walk {} (x + {k})", 3 + k));
-    }
-    src.push('\n');
-    let forced: BTreeSet<QualName> = [QualName::new("Deep", "walk")].into();
-    (Pipeline::from_source_with(&src, &forced).expect("pipeline"), QualName::new("Main", "main"))
-}
-
-fn spec_scaling_rows() -> Vec<(String, Duration)> {
-    let (pipeline, entry) = skewed_spec_pipeline();
-    let args = || vec![SpecArg::Dynamic];
-    let (seq_t, seq) = time_min(8, || {
-        pipeline
-            .specialise_opts(
-                entry.module.as_str(),
-                entry.name.as_str(),
-                args(),
-                EngineOptions::default(),
-            )
-            .expect("sequential specialise")
-    });
-    let mut rows = vec![("sequential".to_string(), seq_t)];
-    let mut counts = vec![1usize, 2, cores()];
-    counts.sort_unstable();
-    counts.dedup();
-    for n in counts {
-        let (t, par) = time_min(8, || {
-            pipeline
-                .specialise_threaded(
-                    entry.module.as_str(),
-                    entry.name.as_str(),
-                    args(),
-                    EngineOptions::default(),
-                    NonZeroUsize::new(n).expect("nonzero"),
-                    &Recorder::disabled(),
-                )
-                .expect("threaded specialise")
-        });
-        assert_eq!(seq.source(), par.source(), "threaded residual drifted at {n} threads");
-        rows.push((format!("threads_{n}"), t));
-    }
-    rows
-}
-
 fn level_json(r: &LevelResult) -> Json {
     obj(vec![
         ("clients".to_string(), Json::Num(r.clients as u128)),
@@ -333,18 +272,6 @@ fn run() {
     assert_eq!(stats.shed as usize, over.shed, "server and client shed counts agree");
     println!();
 
-    // --- PR 6 carry-forward: specialise-time scaling ------------------
-    let rows = spec_scaling_rows();
-    println!("specialise, skewed chain-vs-fan (carry-forward):");
-    for (k, d) in &rows {
-        println!("  {k:<14} {} us", us(*d));
-    }
-    let seq = rows[0].1.as_secs_f64();
-    let ratios: Vec<(String, Json)> = rows[1..]
-        .iter()
-        .map(|(k, d)| (format!("{k}_vs_sequential_milli"), milli_ratio(d.as_secs_f64() / seq)))
-        .collect();
-
     let report = obj(vec![
         ("pr".to_string(), Json::str("pr7")),
         ("cores".to_string(), Json::Num(cores as u128)),
@@ -368,14 +295,6 @@ fn run() {
                 ("p50_ns".to_string(), Json::Num(over.p50_ns)),
                 ("p99_ns".to_string(), Json::Num(over.p99_ns)),
             ]),
-        ),
-        (
-            "spec_scaling_carry_forward".to_string(),
-            obj(rows
-                .iter()
-                .map(|(k, d)| (format!("{k}_ns"), Json::Num(d.as_nanos())))
-                .chain(ratios)
-                .collect()),
         ),
     ]);
 

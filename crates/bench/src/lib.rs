@@ -60,9 +60,9 @@ pub fn us(d: Duration) -> String {
 }
 
 /// The machine's core count, recorded in every `BENCH_*.json` so
-/// readers can interpret parallel ratios (a 1-core container cannot
-/// show parallel speedups, and single-threaded numbers from a loaded
-/// many-core box deserve suspicion too).
+/// readers can interpret the numbers (single-threaded timings from a
+/// loaded many-core box deserve suspicion, and so do concurrent
+/// daemon figures from a one-core container).
 pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -28,10 +28,7 @@ use mspec_lang::resolve::resolve;
 use mspec_telemetry::{ModuleOutcome, Recorder};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Instant, SystemTime};
 
 /// The result of a build run: the canonical telemetry report at this
@@ -48,12 +45,6 @@ pub struct BuildOptions {
     pub force_residual: BTreeMap<ModName, BTreeSet<Ident>>,
     /// Rebuild everything regardless of timestamps.
     pub force: bool,
-    /// Worker count for a concurrent build: `None` builds one module at
-    /// a time in dependency order (the incremental default); `Some(n)`
-    /// schedules ready modules over `n` work-stealing workers (a module
-    /// is released when its last import finishes). Artefacts and the
-    /// report are identical either way — only wall-clock time changes.
-    pub threads: Option<NonZeroUsize>,
 }
 
 /// Builds (incrementally) all modules of `src_dir` into `out_dir`.
@@ -124,26 +115,13 @@ pub fn build_traced(
     let mut report =
         BuildReport { out_dir: Some(out_dir.to_path_buf()), ..BuildReport::default() };
 
-    let ifaces = Interfaces::default();
-    if let Some(threads) = options.threads {
-        let order: Vec<ModName> = graph.topo_order().to_vec();
-        let changed: Mutex<BTreeSet<ModName>> = Mutex::new(BTreeSet::new());
-        for (_, name, res) in build_workstealing(
-            &resolved, &graph, &path_of, out_dir, options, threads, rec, &order, &changed,
-            &ifaces,
-        ) {
-            report.push(name, res?);
-        }
-        rec.count("cogen.modules_rebuilt", report.rebuilt() as u64);
-        return Ok(report);
-    }
-
+    let mut ifaces = Interfaces::default();
     let mut iface_changed: BTreeSet<ModName> = BTreeSet::new();
     for name in graph.topo_order() {
         let module = resolved.program().module(name.as_str()).unwrap();
         let imports_changed = module.imports.iter().any(|i| iface_changed.contains(i));
         let (outcome, changed) =
-            build_one(module, path_of[&name], out_dir, options, imports_changed, &ifaces, rec)?;
+            build_one(module, path_of[&name], out_dir, options, imports_changed, &mut ifaces, rec)?;
         if changed {
             iface_changed.insert(*name);
         }
@@ -154,44 +132,35 @@ pub fn build_traced(
 }
 
 /// The interfaces of one build, by module: each one written by the
-/// build, or decoded from the artefact directory on first use. Shared
-/// by the sequential and work-stealing drivers, so an up-to-date import
-/// is decoded once per build rather than once per importer.
+/// build, or decoded from the artefact directory on first use, so an
+/// up-to-date import is decoded once per build rather than once per
+/// importer.
 #[derive(Default)]
-struct Interfaces(Mutex<BTreeMap<ModName, (BtInterface, u64)>>);
+struct Interfaces(BTreeMap<ModName, (BtInterface, u64)>);
 
 impl Interfaces {
     /// `module`'s interface and fingerprint.
-    fn get(&self, module: ModName, out_dir: &Path) -> Result<(BtInterface, u64), CogenError> {
-        if let Some(known) = self.lock().get(&module) {
+    fn get(&mut self, module: ModName, out_dir: &Path) -> Result<(BtInterface, u64), CogenError> {
+        if let Some(known) = self.0.get(&module) {
             return Ok(known.clone());
         }
         let loaded = load_import(out_dir, module)?;
-        Ok(self.lock().entry(module).or_insert(loaded).clone())
-    }
-
-    fn insert(&self, module: ModName, iface: BtInterface, fp: u64) {
-        self.lock().insert(module, (iface, fp));
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<ModName, (BtInterface, u64)>> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
+        Ok(self.0.entry(module).or_insert(loaded).clone())
     }
 }
 
 /// One module's incremental step: the staleness check, then (when
 /// stale) cogen plus the old/new `.bti` fingerprint comparison that
 /// decides whether downstream modules must rebuild. Returns the outcome
-/// and whether the interface changed. Shared between the sequential and
-/// work-stealing drivers — by the time it runs, every import's step has
-/// completed.
+/// and whether the interface changed. Runs in dependency order, so
+/// every import's step has completed.
 fn build_one(
     module: &Module,
     src_path: &Path,
     out_dir: &Path,
     options: &BuildOptions,
     imports_changed: bool,
-    ifaces: &Interfaces,
+    ifaces: &mut Interfaces,
     rec: &Recorder,
 ) -> Result<(ModuleOutcome<CogenError>, bool), CogenError> {
     let name = module.name;
@@ -221,98 +190,8 @@ fn build_one(
         rec.count("io.bti_bytes_written", file_len(&out.bti));
         rec.count("io.gx_bytes_written", file_len(&out.gx));
     }
-    ifaces.insert(name, iface, fp);
+    ifaces.0.insert(name, (iface, fp));
     Ok((ModuleOutcome::Built, old_fp != Some(fp)))
-}
-
-/// Ready-count work-stealing cogen: one task per module, released when
-/// its last import finishes, so a slow sibling no longer delays an
-/// independent subtree. Results are sorted back into topological order;
-/// since the sequential driver aborts on the first error, the driver
-/// here surfaces the topologically first failure (modules downstream of
-/// a failure are never cogen'd — their interfaces are missing).
-#[allow(clippy::too_many_arguments)]
-fn build_workstealing(
-    resolved: &mspec_lang::resolve::ResolvedProgram,
-    graph: &ModGraph,
-    path_of: &BTreeMap<&ModName, &PathBuf>,
-    out_dir: &Path,
-    options: &BuildOptions,
-    threads: NonZeroUsize,
-    rec: &Recorder,
-    order: &[ModName],
-    changed: &Mutex<BTreeSet<ModName>>,
-    ifaces: &Interfaces,
-) -> Vec<(usize, ModName, Result<ModuleOutcome<CogenError>, CogenError>)> {
-    let index: BTreeMap<ModName, usize> =
-        order.iter().enumerate().map(|(i, m)| (*m, i)).collect();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-    let mut seeds: Vec<usize> = Vec::new();
-    let remaining: Vec<AtomicUsize> = order
-        .iter()
-        .map(|m| AtomicUsize::new(graph.direct_imports(m).len()))
-        .collect();
-    for (i, m) in order.iter().enumerate() {
-        if graph.direct_imports(m).is_empty() {
-            seeds.push(i);
-        }
-        for d in graph.direct_imports(m) {
-            dependents[index[d]].push(i);
-        }
-    }
-    // Modules that failed (or sit downstream of one): never cogen'd.
-    let dead: Mutex<BTreeSet<ModName>> = Mutex::new(BTreeSet::new());
-
-    let outcome = mspec_sched::run(
-        threads,
-        seeds,
-        |_| (),
-        |_: &mut (), i: usize, worker| {
-            let name = order[i];
-            let module = resolved.program().module(name.as_str()).unwrap();
-            let (culprit, imports_changed) = {
-                let dead = dead.lock().unwrap_or_else(|e| e.into_inner());
-                let ch = changed.lock().unwrap_or_else(|e| e.into_inner());
-                (
-                    graph.direct_imports(&name).iter().find(|d| dead.contains(d)).copied(),
-                    graph.direct_imports(&name).iter().any(|d| ch.contains(d)),
-                )
-            };
-            let res = match culprit {
-                Some(culprit) => Ok(ModuleOutcome::Skipped { import: culprit }),
-                None => build_one(
-                    module,
-                    path_of[&name],
-                    out_dir,
-                    options,
-                    imports_changed,
-                    ifaces,
-                    rec,
-                )
-                .map(|(outcome, iface_changed)| {
-                    if iface_changed {
-                        changed.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
-                    }
-                    outcome
-                }),
-            };
-            if res.is_err() || matches!(res, Ok(ModuleOutcome::Skipped { .. })) {
-                dead.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
-            }
-            for &d in &dependents[i] {
-                if remaining[d].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    worker.push(d);
-                }
-            }
-            (i, name, res)
-        },
-    );
-    rec.count("sched.tasks", outcome.stats.tasks);
-    rec.count("sched.steals", outcome.stats.steals);
-    rec.count("sched.idle_parks", outcome.stats.idle_parks);
-    let mut results = outcome.results;
-    results.sort_by_key(|r| r.0);
-    results
 }
 
 /// On-disk size of an artefact, for the `io.*_bytes_written` counters
@@ -665,8 +544,7 @@ mod tests {
         let _ = fs::remove_dir_all(src.parent().unwrap());
     }
 
-    /// A wider tree for scheduling tests: a diamond plus an independent
-    /// leaf, so several modules are ready at once.
+    /// A wider tree: a diamond plus an independent leaf.
     fn setup_wide(tag: &str) -> (PathBuf, PathBuf) {
         let (src, out) = setup(tag);
         fs::write(
@@ -683,55 +561,12 @@ mod tests {
         (src, out)
     }
 
-    fn artefact_bytes(out: &Path) -> BTreeMap<String, Vec<u8>> {
-        let mut m = BTreeMap::new();
-        for e in fs::read_dir(out).unwrap() {
-            let p = e.unwrap().path();
-            m.insert(p.file_name().unwrap().to_string_lossy().into_owned(), fs::read(&p).unwrap());
-        }
-        m
-    }
-
-    /// Work-stealing builds at 1, 2 and 8 workers write byte-identical
-    /// `.bti`/`.gx` artefacts and the same report as the sequential
-    /// driver.
+    /// An unchanged tree is all up to date, and an interface change
+    /// propagates to every importer's subtree and nowhere else.
     #[test]
-    fn workstealing_build_matches_sequential_artefacts() {
-        let (src, seq_out) = setup_wide("ws-seq");
-        let r = build(&src, &seq_out, &BuildOptions::default()).unwrap();
-        assert_eq!(r.rebuilt(), 5);
-        let want = artefact_bytes(&seq_out);
-        let outcomes = |r: &BuildReport| -> Vec<(String, bool)> {
-            r.outcomes
-                .iter()
-                .map(|(m, o)| (m.to_string(), matches!(o, ModuleOutcome::Built)))
-                .collect()
-        };
-        let want_outcomes = outcomes(&r);
-        for threads in [1usize, 2, 8] {
-            let par_out = src.parent().unwrap().join(format!("out-{threads}"));
-            let opts = BuildOptions {
-                threads: Some(NonZeroUsize::new(threads).unwrap()),
-                ..Default::default()
-            };
-            let rp = build(&src, &par_out, &opts).unwrap();
-            assert_eq!(outcomes(&rp), want_outcomes, "report differs at {threads} worker(s)");
-            assert_eq!(
-                artefact_bytes(&par_out),
-                want,
-                "artefact bytes differ at {threads} worker(s)"
-            );
-        }
-        let _ = fs::remove_dir_all(src.parent().unwrap());
-    }
-
-    /// Incremental semantics survive the scheduler: an unchanged tree is
-    /// all up-to-date, and an interface change still propagates to the
-    /// importer (and only the importer's subtree).
-    #[test]
-    fn workstealing_build_is_incremental() {
-        let (src, out) = setup_wide("ws-incr");
-        let opts = BuildOptions { threads: Some(NonZeroUsize::new(4).unwrap()), ..Default::default() };
+    fn wide_tree_build_is_incremental() {
+        let (src, out) = setup_wide("wide-incr");
+        let opts = BuildOptions::default();
         build(&src, &out, &opts).unwrap();
         for f in ["Power", "Main", "Sq", "Top", "Lone"] {
             set_mtime_back(&src.join(format!("{f}.mspec")), 60);
@@ -752,25 +587,6 @@ mod tests {
         assert!(matches!(r.outcome("Sq"), Some(ModuleOutcome::Built)));
         assert!(matches!(r.outcome("Top"), Some(ModuleOutcome::Built)));
         assert!(matches!(r.outcome("Lone"), Some(ModuleOutcome::UpToDate)));
-        let _ = fs::remove_dir_all(src.parent().unwrap());
-    }
-
-    /// A broken module aborts the work-stealing build with the same
-    /// (topologically first) error the sequential driver reports, at
-    /// every worker count.
-    #[test]
-    fn workstealing_build_reports_the_sequential_error() {
-        let (src, out) = setup_wide("ws-err");
-        fs::write(src.join("Power.mspec"), "module Power where\npower n x = nope n\n").unwrap();
-        let seq_err = build(&src, &out, &BuildOptions::default()).unwrap_err().to_string();
-        for threads in [1usize, 2, 8] {
-            let opts = BuildOptions {
-                threads: Some(NonZeroUsize::new(threads).unwrap()),
-                ..Default::default()
-            };
-            let err = build(&src, &out, &opts).unwrap_err().to_string();
-            assert_eq!(err, seq_err, "error differs at {threads} worker(s)");
-        }
         let _ = fs::remove_dir_all(src.parent().unwrap());
     }
 }

@@ -49,15 +49,13 @@
 
 use mspec_core::telemetry::{self, Snapshot};
 use mspec_core::{
-    write_residual, BuildMode, EngineOptions, ModuleOutcome, OnExhaustion, Pipeline,
-    PipelineError, Recorder, Runner, SpecBudget, Strategy, VmOpt,
+    write_residual, EngineOptions, ModuleOutcome, OnExhaustion, Pipeline, Recorder, Runner,
+    SpecBudget, Strategy, VmOpt,
 };
 use mspec_lang::eval::with_big_stack;
 use mspec_lang::QualName;
-use mspec_sched::{parse_threads, ThreadOrigin};
 use mspec_serve::{parse_division, parse_values, ServeConfig, ServeKnob};
 use std::collections::BTreeSet;
-use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -140,10 +138,8 @@ fn usage() -> String {
      MSPEC_CACHE_DIR env var), a persistent residual cache: a warm run\n\
      with an unchanged program and request serves the stored residual\n\
      byte-identically with zero engine steps.\n\
-     build, spec and link-spec accept --threads N (work-stealing worker\n\
-     count; the MSPEC_THREADS env var is the fallback, then\n\
-     available_parallelism). Residual output is byte-identical at every\n\
-     thread count"
+     serve --threads N sets the daemon's worker count (fallback: the\n\
+     MSPEC_THREADS env var, then 2)"
         .to_string()
 }
 
@@ -159,7 +155,6 @@ struct Opts {
     on_exhaustion: OnExhaustion,
     runner: Runner,
     vm_opt: VmOpt,
-    threads: Option<NonZeroUsize>,
     trace: Option<String>,
     metrics: Option<String>,
     log: Option<String>,
@@ -181,23 +176,6 @@ impl Opts {
             budget.max_specialisations = n;
         }
         EngineOptions { strategy: self.strategy, budget, on_exhaustion: self.on_exhaustion }
-    }
-
-    /// The run's worker count: the `--threads` flag wins, then the
-    /// `MSPEC_THREADS` environment variable. `Ok(None)` means neither
-    /// knob is set, and commands keep their default execution mode.
-    /// Zero or garbage from either source is a structured
-    /// [`PipelineError::Threads`], never a panic.
-    fn requested_threads(&self) -> Result<Option<NonZeroUsize>, String> {
-        if self.threads.is_some() {
-            return Ok(self.threads);
-        }
-        match std::env::var("MSPEC_THREADS") {
-            Ok(v) => parse_threads(&v, ThreadOrigin::Env)
-                .map(Some)
-                .map_err(|e| PipelineError::from(e).to_string()),
-            Err(_) => Ok(None),
-        }
     }
 
     /// The run's persistent residual cache: `--cache-dir`, then the
@@ -259,7 +237,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         on_exhaustion: OnExhaustion::default(),
         runner: Runner::default(),
         vm_opt: VmOpt::default(),
-        threads: None,
         trace: None,
         metrics: None,
         log: None,
@@ -320,13 +297,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 opts.vm_opt = VmOpt::parse(v)
                     .ok_or_else(|| format!("--vm-opt must be none or fuse, got `{v}`"))?;
             }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a worker count")?;
-                opts.threads = Some(
-                    parse_threads(v, ThreadOrigin::Flag)
-                        .map_err(|e| PipelineError::from(e).to_string())?,
-                );
-            }
             "--trace" => {
                 opts.trace = Some(it.next().ok_or("--trace needs a file")?.clone());
             }
@@ -383,17 +353,18 @@ fn build_pipeline(opts: &Opts) -> Result<Pipeline, String> {
 
 fn build_pipeline_traced(opts: &Opts, rec: &Recorder) -> Result<Pipeline, String> {
     let src = read_source(&opts.file)?;
-    let threads = opts.requested_threads()?;
-    if rec.is_enabled() || threads.is_some() {
-        // Tracing must not change how the program is built: without a
-        // thread request it builds sequentially, as the untraced run
-        // does.
-        let mode = threads.map_or(BuildMode::Sequential, BuildMode::Threads);
+    if rec.is_enabled() {
+        // A traced run builds through the staged, fault-isolated driver,
+        // which records per-module spans. On a valid program it yields
+        // the same pipeline as the untraced whole-program build; on an
+        // invalid one the two report differently: the staged build
+        // aggregates every module's failure into one report, the
+        // whole-program build stops at the first error.
         let program = {
             let _span = rec.span("parse");
             mspec_lang::parser::parse_program(&src).map_err(|e| e.to_string())?
         };
-        Pipeline::from_program_traced(program, &opts.force_residual, mode, rec)
+        Pipeline::from_program_traced(program, &opts.force_residual, rec)
             .map(|(p, _)| p)
             .map_err(|e| e.to_string())
     } else {
@@ -404,10 +375,7 @@ fn build_pipeline_traced(opts: &Opts, rec: &Recorder) -> Result<Pipeline, String
 fn build_cmd(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(args)?;
     let out = opts.out.as_deref().ok_or("build needs --out DIR")?;
-    let mut bopts = mspec_cogen::build::BuildOptions {
-        threads: opts.requested_threads()?,
-        ..Default::default()
-    };
+    let mut bopts = mspec_cogen::build::BuildOptions::default();
     for q in &opts.force_residual {
         bopts
             .force_residual
@@ -479,27 +447,10 @@ fn link_spec(args: &[String]) -> Result<(), String> {
     let linked =
         mspec_cogen::build::link_dir_traced(&opts.file, &rec).map_err(|e| e.to_string())?;
     let entry = QualName::new(m.as_str(), f.as_str());
-    let (residual, stats) = match opts.requested_threads()? {
-        Some(n) => {
-            let (residual, out) = mspec_genext::specialise_threaded(
-                &linked,
-                &entry,
-                spec_args,
-                opts.engine_options(),
-                n,
-                rec.clone(),
-            )
-            .map_err(|e| e.to_string())?;
-            (residual, out.stats)
-        }
-        None => {
-            let mut engine =
-                mspec_genext::Engine::with_recorder(&linked, opts.engine_options(), rec.clone());
-            let residual = engine.specialise(&entry, spec_args).map_err(|e| e.to_string())?;
-            let stats = *engine.stats();
-            (residual, stats)
-        }
-    };
+    let mut engine =
+        mspec_genext::Engine::with_recorder(&linked, opts.engine_options(), rec.clone());
+    let residual = engine.specialise(&entry, spec_args).map_err(|e| e.to_string())?;
+    let stats = *engine.stats();
     // Bytes of `.gx` function payload decoded on demand during the
     // run; together with the load-time count in `link_dir_traced` this
     // is the seekable format's total decode cost.
@@ -619,14 +570,9 @@ fn spec(args: &[String]) -> Result<(), String> {
         }
     }
     let pipeline = build_pipeline_traced(&opts, &rec)?;
-    let spec = match opts.requested_threads()? {
-        Some(n) => pipeline
-            .specialise_threaded(&m, &f, spec_args, opts.engine_options(), n, &rec)
-            .map_err(|e| e.to_string())?,
-        None => pipeline
-            .specialise_traced(&m, &f, spec_args, opts.engine_options(), &rec)
-            .map_err(|e| e.to_string())?,
-    };
+    let spec = pipeline
+        .specialise_traced(&m, &f, spec_args, opts.engine_options(), &rec)
+        .map_err(|e| e.to_string())?;
     println!("{}", spec.source());
     eprintln!("{}", spec.stats.summary(spec.residual.entry.to_string()));
     eprint!("{}", spec.provenance_report());
@@ -787,7 +733,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     let mut cfg = ServeConfig::default();
     let mut pinned: Vec<ServeKnob> = Vec::new();
     let mut stdio = false;
-    let mut threads: Option<NonZeroUsize> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let knob = match arg.as_str() {
@@ -820,16 +765,12 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
                 cfg.crash_dir = Some(v.clone());
                 continue;
             }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                threads = Some(parse_threads(v, ThreadOrigin::Flag).map_err(|e| e.to_string())?);
-                continue;
-            }
             "--port" => ServeKnob::Port,
             "--max-clients" => ServeKnob::MaxClients,
             "--queue-depth" => ServeKnob::QueueDepth,
             "--deadline-ms" => ServeKnob::DeadlineMs,
             "--client-fuel" => ServeKnob::ClientFuel,
+            "--threads" => ServeKnob::Workers,
             "--memo-cap" => ServeKnob::MemoCap,
             "--cache-gc-bytes" => ServeKnob::CacheGcBytes,
             other => return Err(format!("serve: unknown option `{other}`")),
@@ -849,16 +790,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
     if let Some(dir) = &cfg.cache_dir {
         mspec_cache::DiskCache::open(dir)
             .map_err(|e| format!("serve: cannot open cache dir {dir}: {e}"))?;
-    }
-    match threads {
-        Some(n) => cfg.workers = n.get(),
-        None => {
-            if let Ok(v) = std::env::var("MSPEC_THREADS") {
-                cfg.workers = parse_threads(&v, ThreadOrigin::Env)
-                    .map_err(|e| e.to_string())?
-                    .get();
-            }
-        }
     }
     let rec = if cfg.trace_path.is_some() {
         telemetry::Recorder::enabled()
@@ -1280,23 +1211,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_threads_flag_and_rejects_zero() {
-        let ok: Vec<String> =
-            ["p.mspec", "--threads", "4"].iter().map(|s| s.to_string()).collect();
-        let opts = parse_opts(&ok).unwrap();
-        assert_eq!(opts.threads, NonZeroUsize::new(4));
-        assert_eq!(opts.requested_threads().unwrap(), NonZeroUsize::new(4));
-
-        let zero: Vec<String> =
-            ["p.mspec", "--threads", "0"].iter().map(|s| s.to_string()).collect();
-        let err = parse_opts(&zero).err().unwrap();
-        assert!(err.contains("--threads"), "{err}");
-        assert!(err.contains("at least 1"), "{err}");
-
-        let garbage: Vec<String> =
-            ["p.mspec", "--threads", "many"].iter().map(|s| s.to_string()).collect();
-        let err = parse_opts(&garbage).err().unwrap();
-        assert!(err.contains("positive integer"), "{err}");
+    fn threads_is_a_serve_option_only() {
+        let args: Vec<String> =
+            ["p.mspec", "--threads", "2"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(parse_opts(&args).err().unwrap(), "unknown option --threads");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use mspec_bta::BtaError;
 use mspec_genext::SpecError;
 use mspec_lang::eval::EvalError;
 use mspec_lang::LangError;
-use mspec_sched::ThreadConfigError;
 use mspec_types::TypeError;
 use std::error::Error;
 use std::fmt;
@@ -27,9 +26,6 @@ pub enum PipelineError {
     /// staged build; the report lists every failure, every module
     /// skipped because an import failed, and everything that did build.
     Build(Box<BuildReport>),
-    /// A malformed thread-count configuration (`--threads` flag or the
-    /// `MSPEC_THREADS` environment variable) — zero or unparsable.
-    Threads(ThreadConfigError),
     /// A named entry function does not exist.
     NoSuchFunction {
         /// Module searched.
@@ -48,7 +44,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Spec(e) => write!(f, "{e}"),
             PipelineError::Eval(e) => write!(f, "{e}"),
             PipelineError::Build(report) => write!(f, "{report}"),
-            PipelineError::Threads(e) => write!(f, "{e}"),
             PipelineError::NoSuchFunction { module, name } => {
                 write!(f, "no function `{name}` in module {module}")
             }
@@ -85,12 +80,6 @@ impl From<SpecError> for PipelineError {
 impl From<EvalError> for PipelineError {
     fn from(e: EvalError) -> Self {
         PipelineError::Eval(e)
-    }
-}
-
-impl From<ThreadConfigError> for PipelineError {
-    fn from(e: ThreadConfigError) -> Self {
-        PipelineError::Threads(e)
     }
 }
 

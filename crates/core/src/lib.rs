@@ -44,7 +44,7 @@ pub use mspec_bta::division::ParamBt;
 pub use mspec_genext::{
     BudgetResource, EngineOptions, OnExhaustion, SpecArg, SpecBudget, SpecStats, Strategy,
 };
-pub use parbuild::{module_levels, BuildMode, BuildReport, ModuleBuildError, StageTimes};
+pub use parbuild::{module_levels, BuildReport, ModuleBuildError, StageTimes};
 pub use mspec_lang::vm::{Runner, VmOpt};
 pub use mspec_telemetry as telemetry;
 pub use mspec_telemetry::{ModuleOutcome, Recorder};

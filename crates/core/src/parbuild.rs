@@ -1,29 +1,19 @@
-//! Work-stealing parallel pipeline construction.
+//! The staged pipeline build.
 //!
-//! The paper's module system requires acyclic imports, so per-module
-//! stages (typecheck, binding-time analysis, cogen) can run as soon as
-//! a module's imports have finished — none of them can see a sibling's
-//! interface. The default driver therefore runs one *task per module*
-//! on the shared work-stealing scheduler (`mspec-sched`): every module
-//! carries a ready-count of unfinished imports, a finishing module
-//! decrements its dependents' counts, and a count reaching zero
-//! releases that module to whichever worker is free. Skewed module
-//! sizes no longer serialise anything: while one worker chews on the
-//! big module, the others drain everything that does not depend on it.
-//!
-//! The older one-thread-per-module-per-level driver is kept as
-//! [`BuildMode::LevelBarrier`] so benchmarks can measure exactly what
-//! the barriers cost, and [`BuildMode::Sequential`] runs the same
-//! per-module code path serially.
+//! The paper's module system requires acyclic imports, so each
+//! per-module stage (typecheck, binding-time analysis, cogen) needs only
+//! the interfaces of the module's imports. The driver groups the module
+//! graph into topological levels ([`module_levels`]) and builds one
+//! module at a time, level by level, handing each finished module's type
+//! and binding-time interfaces to the levels above it.
 //!
 //! Builds are *fault-isolated*: a module whose stages fail — or panic —
-//! does not abort the build. The panic is caught on the worker
+//! does not abort the build. The panic is caught
 //! ([`std::panic::catch_unwind`]), everything not depending on the
 //! module still builds, modules depending on it are skipped (naming the
 //! culprit import), and the driver returns an aggregated
 //! [`BuildReport`] listing every failure rather than dying on the
-//! first. The report is assembled in topological order, so it is
-//! byte-identical no matter how many workers ran or who stole what.
+//! first. The report lists modules in topological order.
 
 use crate::error::PipelineError;
 use mspec_bta::analyse::analyse_module_with_traced;
@@ -35,36 +25,15 @@ use mspec_lang::modgraph::ModGraph;
 use mspec_lang::resolve::ResolvedProgram;
 use mspec_telemetry::{ModuleOutcome, Recorder};
 use mspec_types::{infer_module_traced, ProgramTypes, TypeInterface};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// How the per-module stages are scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildMode {
-    /// One module at a time, in dependency order.
-    Sequential,
-    /// Work-stealing over ready modules; worker count from
-    /// `MSPEC_THREADS` or [`std::thread::available_parallelism`].
-    Parallel,
-    /// Work-stealing with an explicit worker count (the `--threads`
-    /// flag, and the determinism test matrix).
-    Threads(NonZeroUsize),
-    /// The pre-work-stealing driver: all modules of a level
-    /// concurrently, one scoped thread each, with a barrier between
-    /// levels. Kept for benchmark comparison (`par_table`).
-    LevelBarrier,
-}
 
 /// Wall-clock accounting for a pipeline build.
 ///
-/// The per-stage fields are *busy* times summed over modules (so in a
-/// parallel build they can exceed `total`); `total` is the wall-clock
-/// time of the whole build including linking.
+/// The per-stage fields are summed over modules; `total` is the
+/// wall-clock time of the whole build including linking.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimes {
     /// Hindley–Milner inference, summed across modules.
@@ -79,9 +48,6 @@ pub struct StageTimes {
     pub total: Duration,
     /// Number of levels in the module graph.
     pub levels: usize,
-    /// Size of the widest level (the level-barrier model's available
-    /// parallelism; work-stealing is not bound by it).
-    pub widest_level: usize,
 }
 
 /// Groups the module graph into topological levels: level 0 has no
@@ -113,7 +79,7 @@ pub fn module_levels(graph: &ModGraph) -> Vec<Vec<ModName>> {
 pub enum ModuleBuildError {
     /// A stage returned an error.
     Failed(PipelineError),
-    /// The module's worker panicked; the payload message is preserved.
+    /// A stage panicked; the payload message is preserved.
     Panicked(String),
 }
 
@@ -132,48 +98,24 @@ impl fmt::Display for ModuleBuildError {
 /// `mspec_cogen::build` uses for incremental artefact builds).
 pub type BuildReport = mspec_telemetry::BuildReport<ModuleBuildError>;
 
-/// Runs `f` once per module of a level — sequentially or on scoped
-/// threads — capturing per-module panics so one bad module cannot take
-/// down the level (or the process). This is the [`BuildMode::Sequential`]
-/// / [`BuildMode::LevelBarrier`] engine; work-stealing modes go through
-/// [`build_workstealing`].
-fn run_level<'a, T, F>(
+/// Runs `f` once per module of a level, in order, capturing per-module
+/// panics so one bad module cannot take down the level (or the
+/// process).
+fn run_level<'a, T>(
     level: &'a [ModName],
-    parallel: bool,
-    f: F,
-) -> Vec<(ModName, Result<T, ModuleBuildError>)>
-where
-    T: Send,
-    F: Fn(&'a ModName) -> Result<T, PipelineError> + Sync,
-{
-    let run_one = |m: &'a ModName| -> Result<T, ModuleBuildError> {
-        match catch_unwind(AssertUnwindSafe(|| f(m))) {
-            Ok(Ok(out)) => Ok(out),
-            Ok(Err(e)) => Err(ModuleBuildError::Failed(e)),
-            Err(payload) => Err(ModuleBuildError::Panicked(panic_message(payload.as_ref()))),
-        }
-    };
-    if !parallel {
-        return level.iter().map(|m| (*m, run_one(m))).collect();
-    }
-    std::thread::scope(|s| {
-        let run_one = &run_one;
-        let handles: Vec<_> = level
-            .iter()
-            .map(|m| (*m, s.spawn(move || run_one(m))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|(m, h)| {
-                let r = h.join().unwrap_or_else(|payload| {
-                    // Unreachable in practice (run_one catches), but
-                    // a join error must not abort the build either.
-                    Err(ModuleBuildError::Panicked(panic_message(payload.as_ref())))
-                });
-                (m, r)
-            })
-            .collect()
-    })
+    f: impl Fn(&'a ModName) -> Result<T, PipelineError>,
+) -> Vec<(ModName, Result<T, ModuleBuildError>)> {
+    level
+        .iter()
+        .map(|m| {
+            let r = match catch_unwind(AssertUnwindSafe(|| f(m))) {
+                Ok(Ok(out)) => Ok(out),
+                Ok(Err(e)) => Err(ModuleBuildError::Failed(e)),
+                Err(payload) => Err(ModuleBuildError::Panicked(panic_message(payload.as_ref()))),
+            };
+            (*m, r)
+        })
+        .collect()
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -208,12 +150,10 @@ fn build_module(
     force_residual: &BTreeSet<QualName>,
     rec: &Recorder,
 ) -> Result<ModuleBuild, PipelineError> {
-    // The span is opened on the worker thread, so a parallel build's
-    // trace shows which thread built which module.
     let _span = rec.span_with("build-module", name.as_str());
     // Debug-build fault hook for the fault-injection suite: a panic
-    // injected *inside* a worker's stage run must be isolated at every
-    // thread count (`tests/fault_injection.rs`).
+    // injected inside a module's stage run must be isolated
+    // (`tests/fault_injection.rs`).
     #[cfg(debug_assertions)]
     if std::env::var("MSPEC_FAULT_PANIC_MODULE").as_deref() == Ok(name.as_str()) {
         panic!("injected fault in {name}");
@@ -248,133 +188,6 @@ fn build_module(
     })
 }
 
-/// Interfaces shared between workers. Tasks clone the entries for their
-/// transitive imports under a brief lock instead of holding a read
-/// guard across the whole stage run — a long-held `RwLock` read would
-/// convoy every writer (and through it every new reader) behind the
-/// slowest module.
-#[derive(Default)]
-struct IfaceStore {
-    types: BTreeMap<ModName, TypeInterface>,
-    bts: BTreeMap<ModName, BtInterface>,
-}
-
-/// Everything the work-stealing driver accumulated for one module.
-/// `outcome` is `None` when the module was skipped because the
-/// `skipped_on` import failed.
-struct TaskResult {
-    name: ModName,
-    outcome: Option<Result<ModuleBuild, ModuleBuildError>>,
-    skipped_on: Option<ModName>,
-}
-
-/// Ready-count work-stealing build: one task per module, released when
-/// its last import completes. Outcomes are collected unordered and
-/// sorted back into topological order, so the [`BuildReport`] and the
-/// merged interfaces are independent of scheduling.
-fn build_workstealing(
-    resolved: &ResolvedProgram,
-    force_residual: &BTreeSet<QualName>,
-    threads: NonZeroUsize,
-    rec: &Recorder,
-    order: &[ModName],
-) -> Vec<TaskResult> {
-    let graph = resolved.graph();
-    let index: HashMap<ModName, usize> =
-        order.iter().enumerate().map(|(i, m)| (*m, i)).collect();
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
-    let mut seeds: Vec<usize> = Vec::new();
-    let remaining: Vec<AtomicUsize> = order
-        .iter()
-        .map(|m| AtomicUsize::new(graph.direct_imports(m).len()))
-        .collect();
-    for (i, m) in order.iter().enumerate() {
-        if graph.direct_imports(m).is_empty() {
-            seeds.push(i);
-        }
-        for d in graph.direct_imports(m) {
-            dependents[index[d]].push(i);
-        }
-    }
-
-    let ifaces: Mutex<IfaceStore> = Mutex::new(IfaceStore::default());
-    let dead: Mutex<BTreeSet<ModName>> = Mutex::new(BTreeSet::new());
-
-    let outcome = mspec_sched::run(
-        threads,
-        seeds,
-        |_| (),
-        |_: &mut (), i: usize, worker| {
-            let name = order[i];
-            // A module whose import failed (or was skipped) cannot
-            // build — its interfaces are missing. All imports have
-            // completed by the time this task is released, so the
-            // first dead import in iteration order is deterministic.
-            let culprit = {
-                let dead = dead.lock().unwrap_or_else(|e| e.into_inner());
-                graph.direct_imports(&name).iter().find(|d| dead.contains(d)).copied()
-            };
-            let result = match culprit {
-                Some(culprit) => {
-                    dead.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
-                    TaskResult { name, outcome: None, skipped_on: Some(culprit) }
-                }
-                None => {
-                    // Clone just the transitive-import interfaces: the
-                    // superset of everything this module can reference.
-                    let (tys, bts) = {
-                        let store = ifaces.lock().unwrap_or_else(|e| e.into_inner());
-                        let mut tys = BTreeMap::new();
-                        let mut bts = BTreeMap::new();
-                        for d in graph.transitive_imports(&name) {
-                            if let Some(t) = store.types.get(d) {
-                                tys.insert(*d, t.clone());
-                            }
-                            if let Some(b) = store.bts.get(d) {
-                                bts.insert(*d, b.clone());
-                            }
-                        }
-                        (tys, bts)
-                    };
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        build_module(resolved, &name, &tys, &bts, force_residual, rec)
-                    }));
-                    let outcome = match run {
-                        Ok(Ok(mb)) => {
-                            let mut store =
-                                ifaces.lock().unwrap_or_else(|e| e.into_inner());
-                            store.types.insert(name, mb.ty.clone());
-                            store.bts.insert(name, mb.ann.interface.clone());
-                            Ok(mb)
-                        }
-                        Ok(Err(e)) => Err(ModuleBuildError::Failed(e)),
-                        Err(payload) => {
-                            Err(ModuleBuildError::Panicked(panic_message(payload.as_ref())))
-                        }
-                    };
-                    if outcome.is_err() {
-                        dead.lock().unwrap_or_else(|e| e.into_inner()).insert(name);
-                    }
-                    TaskResult { name, outcome: Some(outcome), skipped_on: None }
-                }
-            };
-            // Release dependents whose last import just completed.
-            for &d in &dependents[i] {
-                if remaining[d].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    worker.push(d);
-                }
-            }
-            result
-        },
-    );
-    rec.count("sched.tasks", outcome.stats.tasks);
-    rec.count("sched.steals", outcome.stats.steals);
-    rec.count("sched.idle_parks", outcome.stats.idle_parks);
-    let mut results = outcome.results;
-    results.sort_by_key(|r| index[&r.name]);
-    results
-}
-
 /// Runs the post-resolution stages (typecheck, BTA, cogen, link) over a
 /// resolved program, fault-isolated: every module that *can* build
 /// does, even when siblings fail or panic.
@@ -383,18 +196,16 @@ fn build_workstealing(
 ///
 /// [`PipelineError::Build`] carrying the aggregated [`BuildReport`] if
 /// any module failed, panicked, or was skipped because an import did;
-/// [`PipelineError::Threads`] for a malformed `MSPEC_THREADS`;
 /// [`PipelineError::Spec`] if linking the (complete) set of generating
 /// extensions fails.
 pub(crate) fn build_stages(
     resolved: &ResolvedProgram,
     force_residual: &BTreeSet<QualName>,
-    mode: BuildMode,
     rec: &Recorder,
 ) -> Result<(ProgramTypes, AnnProgram, GenProgram, StageTimes), PipelineError> {
     // Overrides naming a function in no module must error no matter
     // which modules exist at which level, so check up front (the
-    // sequential driver in `mspec-bta` checks after its loop).
+    // whole-program driver in `mspec-bta` checks after its loop).
     for q in force_residual {
         if resolved.def(q).is_none() {
             return Err(BtaError::UnknownOverride { module: q.module, name: q.name }.into());
@@ -404,101 +215,66 @@ pub(crate) fn build_stages(
     let t_start = Instant::now();
     let levels = module_levels(resolved.graph());
     let build_span = if rec.is_enabled() {
+        // The detail names the strategy, as recorded traces have it.
         rec.span_with(
             "build",
-            &format!("{} modules, {:?}", resolved.program().modules.len(), mode),
+            &format!("{} modules, Sequential", resolved.program().modules.len()),
         )
     } else {
         rec.span("build")
     };
-    let mut times = StageTimes {
-        levels: levels.len(),
-        widest_level: levels.iter().map(Vec::len).max().unwrap_or(0),
-        ..StageTimes::default()
-    };
+    let mut times = StageTimes { levels: levels.len(), ..StageTimes::default() };
 
     let mut types = ProgramTypes::default();
     let mut ann_modules: Vec<AnnModule> = Vec::new();
     let mut gen_modules: Vec<GenModule> = Vec::new();
     let mut report = BuildReport::default();
 
-    let mut merge = |mb: ModuleBuild,
-                     times: &mut StageTimes,
-                     report: &mut BuildReport| {
-        times.typecheck += mb.t_type;
-        times.bta += mb.t_bta;
-        times.cogen += mb.t_cogen;
-        for (fn_name, scheme) in mb.ty.iter() {
-            types.insert(QualName { module: mb.name, name: *fn_name }, scheme.clone());
+    let mut type_ifaces: BTreeMap<ModName, TypeInterface> = BTreeMap::new();
+    let mut bt_ifaces: BTreeMap<ModName, BtInterface> = BTreeMap::new();
+    let mut dead: BTreeSet<ModName> = BTreeSet::new();
+    for (depth, level) in levels.iter().enumerate() {
+        let _level_span = if rec.is_enabled() {
+            rec.span_with(&format!("level{depth}"), &format!("{} modules", level.len()))
+        } else {
+            rec.span("level")
+        };
+        // A module whose import failed (or was itself skipped) cannot
+        // build — its interfaces are missing. Skip it, naming the
+        // culprit, and keep the rest of the level.
+        let mut runnable: Vec<ModName> = Vec::with_capacity(level.len());
+        for m in level {
+            match resolved.graph().direct_imports(m).iter().find(|d| dead.contains(d)) {
+                Some(culprit) => {
+                    dead.insert(*m);
+                    report.push(*m, ModuleOutcome::Skipped { import: *culprit });
+                }
+                None => runnable.push(*m),
+            }
         }
-        ann_modules.push(mb.ann);
-        report.push(mb.name, ModuleOutcome::Built);
-        gen_modules.push(mb.gen);
-    };
-
-    match mode {
-        BuildMode::Parallel | BuildMode::Threads(_) => {
-            let threads = match mode {
-                BuildMode::Threads(n) => n,
-                _ => mspec_sched::resolve_threads(None).map_err(PipelineError::Threads)?,
+        let results = run_level(&runnable, |m| {
+            build_module(resolved, m, &type_ifaces, &bt_ifaces, force_residual, rec)
+        });
+        for (name, r) in results {
+            let mb = match r {
+                Ok(mb) => mb,
+                Err(e) => {
+                    dead.insert(name);
+                    report.push(name, ModuleOutcome::Failed(e));
+                    continue;
+                }
             };
-            let order: Vec<ModName> = levels.concat();
-            let results =
-                build_workstealing(resolved, force_residual, threads, rec, &order);
-            for r in results {
-                match (r.skipped_on, r.outcome) {
-                    (Some(culprit), _) => {
-                        report.push(r.name, ModuleOutcome::Skipped { import: culprit });
-                    }
-                    (None, Some(Ok(mb))) => merge(mb, &mut times, &mut report),
-                    (None, Some(Err(e))) => report.push(r.name, ModuleOutcome::Failed(e)),
-                    (None, None) => unreachable!("task neither ran nor was skipped"),
-                }
+            times.typecheck += mb.t_type;
+            times.bta += mb.t_bta;
+            times.cogen += mb.t_cogen;
+            for (fn_name, scheme) in mb.ty.iter() {
+                types.insert(QualName { module: mb.name, name: *fn_name }, scheme.clone());
             }
-        }
-        BuildMode::Sequential | BuildMode::LevelBarrier => {
-            let mut type_ifaces: BTreeMap<ModName, TypeInterface> = BTreeMap::new();
-            let mut bt_ifaces: BTreeMap<ModName, BtInterface> = BTreeMap::new();
-            let mut dead: BTreeSet<ModName> = BTreeSet::new();
-            for (depth, level) in levels.iter().enumerate() {
-                let _level_span = if rec.is_enabled() {
-                    rec.span_with(&format!("level{depth}"), &format!("{} modules", level.len()))
-                } else {
-                    rec.span("level")
-                };
-                // A module whose import failed (or was itself skipped)
-                // cannot build — its interfaces are missing. Skip it,
-                // naming the culprit, and keep the rest of the level.
-                let mut runnable: Vec<ModName> = Vec::with_capacity(level.len());
-                for m in level {
-                    match resolved.graph().direct_imports(m).iter().find(|d| dead.contains(d))
-                    {
-                        Some(culprit) => {
-                            dead.insert(*m);
-                            report.push(*m, ModuleOutcome::Skipped { import: *culprit });
-                        }
-                        None => runnable.push(*m),
-                    }
-                }
-                let results =
-                    run_level(&runnable, mode == BuildMode::LevelBarrier, |m| {
-                        build_module(resolved, m, &type_ifaces, &bt_ifaces, force_residual, rec)
-                    });
-                // Merge at the level barrier, in deterministic level order.
-                for (name, r) in results {
-                    let mb = match r {
-                        Ok(mb) => mb,
-                        Err(e) => {
-                            dead.insert(name);
-                            report.push(name, ModuleOutcome::Failed(e));
-                            continue;
-                        }
-                    };
-                    bt_ifaces.insert(mb.name, mb.ann.interface.clone());
-                    type_ifaces.insert(mb.name, mb.ty.clone());
-                    merge(mb, &mut times, &mut report);
-                }
-            }
+            bt_ifaces.insert(mb.name, mb.ann.interface.clone());
+            type_ifaces.insert(mb.name, mb.ty);
+            ann_modules.push(mb.ann);
+            report.push(mb.name, ModuleOutcome::Built);
+            gen_modules.push(mb.gen);
         }
     }
 
@@ -525,8 +301,12 @@ mod tests {
     use crate::pipeline::Pipeline;
     use mspec_core_test_support::*;
 
-    fn nz(n: usize) -> NonZeroUsize {
-        NonZeroUsize::new(n).unwrap()
+    fn build(
+        src: &str,
+        forced: &BTreeSet<QualName>,
+    ) -> Result<(Pipeline, StageTimes), PipelineError> {
+        let p = mspec_lang::parser::parse_program(src).unwrap();
+        Pipeline::from_program_traced(p, forced, &Recorder::disabled())
     }
 
     #[test]
@@ -543,55 +323,37 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential_residual() {
-        for mode in [
-            BuildMode::Sequential,
-            BuildMode::Parallel,
-            BuildMode::LevelBarrier,
-            BuildMode::Threads(nz(2)),
-        ] {
-            let (p, times) = Pipeline::from_source_timed(DIAMOND, &BTreeSet::new(), mode).unwrap();
-            assert_eq!(times.levels, 3);
-            assert_eq!(times.widest_level, 2);
-            let s = p
-                .specialise("D", "d1", vec![mspec_genext::SpecArg::Dynamic])
-                .unwrap();
-            assert_eq!(
-                s.run(vec![mspec_lang::eval::Value::nat(5)]).unwrap(),
-                mspec_lang::eval::Value::nat(21)
-            );
-        }
-        let seq = Pipeline::from_source_timed(DIAMOND, &BTreeSet::new(), BuildMode::Sequential)
-            .unwrap()
-            .0;
-        let par = Pipeline::from_source_parallel(DIAMOND).unwrap();
+    fn staged_build_matches_whole_program_residual() {
+        let (p, times) = build(DIAMOND, &BTreeSet::new()).unwrap();
+        assert_eq!(times.levels, 3);
         let args = || vec![mspec_genext::SpecArg::Dynamic];
+        let s = p.specialise("D", "d1", args()).unwrap();
         assert_eq!(
-            seq.specialise("D", "d1", args()).unwrap().source(),
-            par.specialise("D", "d1", args()).unwrap().source()
+            s.run(vec![mspec_lang::eval::Value::nat(5)]).unwrap(),
+            mspec_lang::eval::Value::nat(21)
         );
+        let whole = Pipeline::from_source(DIAMOND).unwrap();
+        assert_eq!(s.source(), whole.specialise("D", "d1", args()).unwrap().source());
     }
 
     #[test]
     fn panicking_module_is_captured_not_fatal() {
         let mods = [ModName::new("A"), ModName::new("B"), ModName::new("C")];
-        for parallel in [false, true] {
-            let results = run_level(&mods, parallel, |m| -> Result<u32, PipelineError> {
-                if m.as_str() == "B" {
-                    panic!("injected fault in {m}");
-                }
-                Ok(7)
-            });
-            assert_eq!(results.len(), 3);
-            assert_eq!(results[0].1, Ok(7));
-            match &results[1].1 {
-                Err(ModuleBuildError::Panicked(msg)) => {
-                    assert!(msg.contains("injected fault in B"), "{msg}");
-                }
-                other => panic!("expected a captured panic, got {other:?}"),
+        let results = run_level(&mods, |m| -> Result<u32, PipelineError> {
+            if m.as_str() == "B" {
+                panic!("injected fault in {m}");
             }
-            assert_eq!(results[2].1, Ok(7), "C must still build after B panics");
+            Ok(7)
+        });
+        assert_eq!(results.len(), 3);
+        assert_eq!(results[0].1, Ok(7));
+        match &results[1].1 {
+            Err(ModuleBuildError::Panicked(msg)) => {
+                assert!(msg.contains("injected fault in B"), "{msg}");
+            }
+            other => panic!("expected a captured panic, got {other:?}"),
         }
+        assert_eq!(results[2].1, Ok(7), "C must still build after B panics");
     }
 
     #[test]
@@ -610,38 +372,29 @@ mod tests {
             import B\n\
             import C\n\
             d1 x = b1 x + c1 x\n";
-        for mode in [
-            BuildMode::Sequential,
-            BuildMode::Parallel,
-            BuildMode::LevelBarrier,
-            BuildMode::Threads(nz(8)),
-        ] {
-            let p = mspec_lang::parser::parse_program(src).unwrap();
-            let err = Pipeline::from_program_timed(p, &BTreeSet::new(), mode).unwrap_err();
-            let PipelineError::Build(report) = err else {
-                panic!("expected an aggregated build report, got {err:?}");
-            };
-            let failed = report.failed();
-            assert_eq!(failed.len(), 1, "{report}");
-            assert_eq!(failed[0].0.as_str(), "B");
-            assert!(matches!(
-                failed[0].1,
-                ModuleBuildError::Failed(PipelineError::Type(_))
-            ));
-            assert_eq!(report.skipped(), vec![(ModName::new("D"), ModName::new("B"))]);
-            let built_mods = report.built();
-            let built: Vec<&str> = built_mods.iter().map(|m| m.as_str()).collect();
-            assert_eq!(built, vec!["A", "C"], "siblings of a failed module still build");
-            let text = report.to_string();
-            assert!(text.contains("1 failed, 1 skipped, 2 built"), "{text}");
-        }
+        let err = build(src, &BTreeSet::new()).unwrap_err();
+        let PipelineError::Build(report) = err else {
+            panic!("expected an aggregated build report, got {err:?}");
+        };
+        let failed = report.failed();
+        assert_eq!(failed.len(), 1, "{report}");
+        assert_eq!(failed[0].0.as_str(), "B");
+        assert!(matches!(
+            failed[0].1,
+            ModuleBuildError::Failed(PipelineError::Type(_))
+        ));
+        assert_eq!(report.skipped(), vec![(ModName::new("D"), ModName::new("B"))]);
+        let built_mods = report.built();
+        let built: Vec<&str> = built_mods.iter().map(|m| m.as_str()).collect();
+        assert_eq!(built, vec!["A", "C"], "siblings of a failed module still build");
+        let text = report.to_string();
+        assert!(text.contains("1 failed, 1 skipped, 2 built"), "{text}");
     }
 
     #[test]
-    fn parallel_build_reports_unknown_override() {
+    fn staged_build_reports_unknown_override() {
         let forced: BTreeSet<QualName> = [QualName::new("D", "ghost")].into();
-        let p = mspec_lang::parser::parse_program(DIAMOND).unwrap();
-        let err = Pipeline::from_program_timed(p, &forced, BuildMode::Parallel).unwrap_err();
+        let err = build(DIAMOND, &forced).unwrap_err();
         assert!(matches!(err, PipelineError::Bta(BtaError::UnknownOverride { .. })));
     }
 

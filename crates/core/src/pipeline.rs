@@ -1,7 +1,7 @@
 //! The pipeline facade: source text to residual program.
 
 use crate::error::PipelineError;
-use crate::parbuild::{build_stages, BuildMode, StageTimes};
+use crate::parbuild::{build_stages, StageTimes};
 use mspec_bta::analyse::analyse_program_with;
 use mspec_bta::AnnProgram;
 use mspec_cogen::compile::compile_program;
@@ -18,7 +18,6 @@ use mspec_lang::vm::{bc_error, Runner, Vm, VmOpt};
 use mspec_telemetry::Recorder;
 use mspec_types::{infer_program, ProgramTypes};
 use std::collections::BTreeSet;
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -82,76 +81,25 @@ impl Pipeline {
         Ok(Pipeline { resolved, types, ann, gen })
     }
 
-    /// Builds the pipeline running each level of independent modules
-    /// concurrently (typecheck, BTA and cogen per module on scoped
-    /// threads). Produces the same pipeline as [`Pipeline::from_source`].
+    /// Builds the pipeline with the staged, fault-isolated module driver
+    /// ([`crate::parbuild`]), reporting per-stage wall-times and
+    /// recording build telemetry: one `build` span, one span per level,
+    /// and per-module `build-module`/`typecheck`/`bta`/`cogen` spans.
     ///
     /// # Errors
     ///
-    /// As [`Pipeline::from_source`].
-    pub fn from_source_parallel(src: &str) -> Result<Pipeline, PipelineError> {
-        Ok(Pipeline::from_source_timed(src, &BTreeSet::new(), BuildMode::Parallel)?.0)
-    }
-
-    /// [`Pipeline::from_source_parallel`] for an already-parsed program,
-    /// with forced-residual overrides.
-    ///
-    /// # Errors
-    ///
-    /// As [`Pipeline::from_source_with`].
-    pub fn from_program_parallel(
-        program: Program,
-        force_residual: &BTreeSet<QualName>,
-    ) -> Result<Pipeline, PipelineError> {
-        Ok(Pipeline::from_program_timed(program, force_residual, BuildMode::Parallel)?.0)
-    }
-
-    /// Builds the pipeline under the given scheduling mode and reports
-    /// per-stage wall-times.
-    ///
-    /// # Errors
-    ///
-    /// As [`Pipeline::from_source_with`].
-    pub fn from_source_timed(
-        src: &str,
-        force_residual: &BTreeSet<QualName>,
-        mode: BuildMode,
-    ) -> Result<(Pipeline, StageTimes), PipelineError> {
-        Pipeline::from_program_timed(parse_program(src)?, force_residual, mode)
-    }
-
-    /// [`Pipeline::from_source_timed`] for an already-parsed program.
-    ///
-    /// # Errors
-    ///
-    /// As [`Pipeline::from_source_with`].
-    pub fn from_program_timed(
-        program: Program,
-        force_residual: &BTreeSet<QualName>,
-        mode: BuildMode,
-    ) -> Result<(Pipeline, StageTimes), PipelineError> {
-        Pipeline::from_program_traced(program, force_residual, mode, &Recorder::disabled())
-    }
-
-    /// [`Pipeline::from_program_timed`] recording build telemetry:
-    /// one `build` span, one span per level, and per-module
-    /// `build-module`/`typecheck`/`bta`/`cogen` spans opened on the
-    /// worker threads that ran them.
-    ///
-    /// # Errors
-    ///
-    /// As [`Pipeline::from_source_with`].
+    /// As [`Pipeline::from_source_with`], except that module failures
+    /// are aggregated into one [`PipelineError::Build`] report.
     pub fn from_program_traced(
         program: Program,
         force_residual: &BTreeSet<QualName>,
-        mode: BuildMode,
         rec: &Recorder,
     ) -> Result<(Pipeline, StageTimes), PipelineError> {
         let resolved = {
             let _span = rec.span("resolve");
             resolve(program)?
         };
-        let (types, ann, gen, times) = build_stages(&resolved, force_residual, mode, rec)?;
+        let (types, ann, gen, times) = build_stages(&resolved, force_residual, rec)?;
         Ok((Pipeline { resolved, types, ann, gen }, times))
     }
 
@@ -239,54 +187,6 @@ impl Pipeline {
             residual,
             stats: *engine.stats(),
             provenance: engine.provenance().to_vec(),
-            exec: Arc::default(),
-        })
-    }
-
-    /// [`Pipeline::specialise_traced`] on `threads` worker threads: the
-    /// concurrent engine with a sharded memo table and deterministic
-    /// replay. The residual program (and its stats and provenance) is
-    /// byte-identical to the sequential engine's output at every thread
-    /// count; options the round driver cannot reproduce (depth-first,
-    /// generalising fallback) fall back to the sequential engine
-    /// in-process.
-    ///
-    /// # Errors
-    ///
-    /// As [`Pipeline::specialise`].
-    pub fn specialise_threaded(
-        &self,
-        module: &str,
-        function: &str,
-        args: Vec<SpecArg>,
-        options: EngineOptions,
-        threads: NonZeroUsize,
-        rec: &Recorder,
-    ) -> Result<Specialised, PipelineError> {
-        let entry = QualName::new(module, function);
-        if self.gen.function(&entry).is_none() {
-            return Err(PipelineError::NoSuchFunction {
-                module: module.to_string(),
-                name: function.to_string(),
-            });
-        }
-        let _span = if rec.is_enabled() {
-            rec.span_with("specialise", &format!("{module}.{function} [{threads} threads]"))
-        } else {
-            rec.span("specialise")
-        };
-        let (residual, out) = mspec_genext::specialise_threaded(
-            &self.gen,
-            &entry,
-            args,
-            options,
-            threads,
-            rec.clone(),
-        )?;
-        Ok(Specialised {
-            residual,
-            stats: out.stats,
-            provenance: out.provenance,
             exec: Arc::default(),
         })
     }

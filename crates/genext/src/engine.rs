@@ -183,10 +183,10 @@ impl FromJson for SpecStats {
 /// machine words. Full [`PKey`] vectors are kept in the bucket and only
 /// compared when hashes collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct SpecKey {
-    pub(crate) target: QualName,
-    pub(crate) mask: u128,
-    pub(crate) hash: u64,
+struct SpecKey {
+    target: QualName,
+    mask: u128,
+    hash: u64,
 }
 
 /// Where one residual definition came from: the paper's relationship
@@ -207,7 +207,7 @@ pub struct Provenance {
     pub formals: usize,
 }
 
-pub(crate) struct PendingSpec {
+struct PendingSpec {
     target: QualName,
     mask: BtMask,
     env: Vec<PVal>,
@@ -220,42 +220,36 @@ pub(crate) struct PendingSpec {
 
 /// The specialisation engine over a linked [`GenProgram`].
 pub struct Engine<'p> {
-    pub(crate) program: &'p GenProgram,
-    pub(crate) options: EngineOptions,
-    pub(crate) memo: HashMap<SpecKey, Vec<(Vec<PKey>, QualName)>>,
-    pub(crate) pending: VecDeque<PendingSpec>,
-    pub(crate) placer: Placer,
-    pub(crate) name_counters: HashMap<QualName, u32>,
-    pub(crate) gensym: u64,
+    program: &'p GenProgram,
+    options: EngineOptions,
+    memo: HashMap<SpecKey, Vec<(Vec<PKey>, QualName)>>,
+    pending: VecDeque<PendingSpec>,
+    placer: Placer,
+    name_counters: HashMap<QualName, u32>,
+    gensym: u64,
     open: usize,
-    pub(crate) fuel: Fuel,
+    fuel: Fuel,
     /// The stack of specialisation/unfold requests currently being
     /// served: `(target, skeleton hash)`, outermost first. Snapshotted
     /// into [`SpecError::BudgetExhausted`] so a diverging cycle is
     /// visible in the error.
-    pub(crate) chain: Vec<(QualName, u64)>,
-    pub(crate) stats: SpecStats,
-    pub(crate) imports: BTreeMap<ModName, BTreeSet<ModName>>,
-    pub(crate) provenance: Vec<Provenance>,
-    pub(crate) recorder: Recorder,
+    chain: Vec<(QualName, u64)>,
+    stats: SpecStats,
+    imports: BTreeMap<ModName, BTreeSet<ModName>>,
+    provenance: Vec<Provenance>,
+    recorder: Recorder,
     /// External cancellation handle (deadline watchdogs, disconnecting
     /// clients); polled on the step-fuel path. `None` = never cancelled.
     cancel: Option<CancelToken>,
     /// Residual definitions currently under construction, innermost
     /// last — the *parent* attribution for decision events (which
     /// residual body a request arose inside).
-    pub(crate) resid_stack: Vec<QualName>,
-    /// Present when this engine is a *worker* of the concurrent driver
-    /// ([`crate::parallel`]): naming side effects (fresh residual names,
-    /// gensyms, placement) are replaced by placeholders and recorded for
-    /// the driver's deterministic replay, and step fuel is claimed in
-    /// chunks from a pool shared with the other workers.
-    pub(crate) par: Option<Box<crate::parallel::ParCtx>>,
+    resid_stack: Vec<QualName>,
     /// The value stack: every frame is a window of it, starting at the
     /// `base` that [`Engine::eval`] is given.
-    pub(crate) stack: Vec<PVal>,
+    stack: Vec<PVal>,
     /// Evaluated arguments of calls whose callee is not entered yet.
-    pub(crate) args: Vec<PVal>,
+    args: Vec<PVal>,
 }
 
 impl<'p> Engine<'p> {
@@ -290,7 +284,6 @@ impl<'p> Engine<'p> {
             recorder,
             cancel: None,
             resid_stack: Vec::new(),
-            par: None,
             stack: Vec::new(),
             args: Vec::new(),
         }
@@ -310,7 +303,7 @@ impl<'p> Engine<'p> {
     /// budget headroom was left. No-op (and no formatting) when the
     /// recorder is disabled.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_decision(
+    fn record_decision(
         &self,
         decision: Decision,
         target: &QualName,
@@ -454,7 +447,7 @@ impl<'p> Engine<'p> {
 
     /// Exports the session counters and the peak gauges once, at the
     /// end of a successful specialisation.
-    pub(crate) fn flush_counters(&self) {
+    fn flush_counters(&self) {
         if !self.recorder.is_enabled() {
             return;
         }
@@ -543,16 +536,6 @@ impl<'p> Engine<'p> {
                 }
             }
         }
-        if let Some(par) = self.par.as_mut() {
-            // Worker mode: fuel comes from a pool shared with the other
-            // workers (claimed in chunks to keep contention negligible);
-            // the policy is always `Error` here (the driver falls back
-            // to the sequential engine otherwise).
-            if !par.spend_fuel() {
-                return Err(self.budget_error(BudgetResource::Steps, None));
-            }
-            return Ok(());
-        }
         if !self.fuel.spend() && self.options.on_exhaustion == OnExhaustion::Error {
             return Err(self.budget_error(BudgetResource::Steps, None));
         }
@@ -592,7 +575,7 @@ impl<'p> Engine<'p> {
     /// Builds a [`SpecError::BudgetExhausted`] from the current request
     /// chain. `at` names the offending call; when the breach is detected
     /// mid-evaluation (step fuel), the innermost chain frame stands in.
-    pub(crate) fn budget_error(
+    fn budget_error(
         &self,
         resource: BudgetResource,
         at: Option<(QualName, u64)>,
@@ -607,13 +590,6 @@ impl<'p> Engine<'p> {
     }
 
     fn fresh(&mut self, base: Ident) -> Ident {
-        if let Some(par) = self.par.as_mut() {
-            // Worker mode: hand out a placeholder from this worker's
-            // disjoint range and log the base; the driver's replay
-            // assigns the canonical `{base}'{gensym}` names in
-            // breadth-first order and renames the placeholders.
-            return par.fresh_placeholder(base);
-        }
         self.gensym += 1;
         Ident::new(format!("{base}'{}", self.gensym))
     }
@@ -688,22 +664,16 @@ impl<'p> Engine<'p> {
                     f.sig.unfold,
                     mask.render(f.sig.vars)
                 );
-                if self.par.is_some() {
-                    // Worker mode: buffer the event; the driver emits it
-                    // at replay with the sequential budget gauges.
-                    self.buffer_unfold_event(target, mask, f.sig.vars, witness);
-                } else {
-                    self.record_decision(
-                        Decision::Unfold,
-                        target,
-                        mask,
-                        f.sig.vars,
-                        0,
-                        false,
-                        None,
-                        witness,
-                    );
-                }
+                self.record_decision(
+                    Decision::Unfold,
+                    target,
+                    mask,
+                    f.sig.vars,
+                    0,
+                    false,
+                    None,
+                    witness,
+                );
             }
             let base = self.stack.len();
             self.stack.extend(self.args.drain(start..));
@@ -737,13 +707,6 @@ impl<'p> Engine<'p> {
                     _ => Ident::new(format!("{p}_{j}")),
                 });
             }
-        }
-        if self.par.is_some() {
-            // Worker mode: probe the shared memo table and this body's
-            // own earlier claims; on a miss, return a placeholder call
-            // and record a child request for the driver to resolve with
-            // the exact sequential naming and placement.
-            return self.residualise_par(target, f.sig.vars, mask, &args, keys, leaves, leaf_names, hash);
         }
         if let Some(resid) = self.memo_find(*target, mask, &keys, hash) {
             self.stats.memo_hits += 1;
@@ -928,7 +891,7 @@ impl<'p> Engine<'p> {
     /// mask, in the frame that starts at `base` on the value stack.
     /// `module` is the module the expression's source occurs in (for
     /// closure identity and placement).
-    pub(crate) fn eval(
+    fn eval(
         &mut self,
         e: &GExp,
         base: usize,
@@ -1150,7 +1113,7 @@ impl<'p> Engine<'p> {
     /// Lifts an owned value, reclaiming the inner expression without a
     /// copy when this reference is the last one (the common case for
     /// freshly built code).
-    pub(crate) fn lift_owned(
+    fn lift_owned(
         &mut self,
         v: PVal,
         sink: &mut dyn ModuleSink,
@@ -1189,7 +1152,7 @@ impl<'p> Engine<'p> {
 /// request induces. Dynamic positions reference the residual entry's
 /// formal parameters by their original names; a static spine of `n`
 /// elements becomes `n` formals named after the parameter.
-pub(crate) fn entry_values(
+fn entry_values(
     f: &GenFn,
     entry: &QualName,
     args: &[SpecArg],
@@ -1236,7 +1199,7 @@ pub(crate) fn entry_values(
 }
 
 /// An engine invariant broken, e.g. by a malformed generating extension.
-pub(crate) fn internal(what: &str) -> SpecError {
+fn internal(what: &str) -> SpecError {
     SpecError::TypeConfusion(format!("engine internal error: {what}"))
 }
 
@@ -1312,7 +1275,7 @@ fn static_prim(op: PrimOp, a: PVal, b: Option<PVal>) -> Result<PVal, SpecError> 
 }
 
 /// Makes names unique by appending primed counters to duplicates.
-pub(crate) fn uniquify(names: Vec<Ident>) -> Vec<Ident> {
+fn uniquify(names: Vec<Ident>) -> Vec<Ident> {
     let mut seen: BTreeSet<Ident> = BTreeSet::new();
     let mut out = Vec::with_capacity(names.len());
     for n in names {

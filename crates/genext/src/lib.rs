@@ -38,7 +38,6 @@ pub mod emit;
 pub mod engine;
 pub mod error;
 pub mod gexp;
-pub mod parallel;
 pub mod placement;
 pub mod value;
 
@@ -47,5 +46,4 @@ pub use emit::{FileSink, MemorySink, ModuleSink, ResidualProgram};
 pub use engine::{Engine, EngineOptions, Provenance, SpecArg, SpecStats, Strategy};
 pub use error::SpecError;
 pub use gexp::{BtCode, FnUnit, GExp, GenFn, GenModule, GenProgram, LinkUnit};
-pub use parallel::{specialise_streaming_threaded, specialise_threaded, ParallelOutcome};
 pub use value::{Closure, PKey, PVal};

@@ -1,9 +1,9 @@
 //! Server configuration: the tuning knobs, their flag/env spellings and
 //! the structured errors produced when a knob carries a bad value.
 //!
-//! Follows the [`mspec_sched::ThreadConfigError`] convention: every
-//! error names the *knob the user actually turned* — the `--flag` or
-//! the `MSPEC_*` environment variable — never a bare "invalid value".
+//! Every error names the *knob the user actually turned* — the
+//! `--flag` or the `MSPEC_*` environment variable — never a bare
+//! "invalid value".
 
 use mspec_lang::vm::VmOpt;
 use std::fmt;
@@ -24,6 +24,8 @@ pub enum ServeKnob {
     DeadlineMs,
     /// Per-connection step-fuel account for admission control.
     ClientFuel,
+    /// Worker threads executing requests.
+    Workers,
     /// Entry cap on each resident cache (programs, artefact sets, memo,
     /// compiled residuals); oldest entries are evicted past it.
     MemoCap,
@@ -41,6 +43,7 @@ impl ServeKnob {
             ServeKnob::QueueDepth => "--queue-depth",
             ServeKnob::DeadlineMs => "--deadline-ms",
             ServeKnob::ClientFuel => "--client-fuel",
+            ServeKnob::Workers => "--threads",
             ServeKnob::MemoCap => "--memo-cap",
             ServeKnob::CacheGcBytes => "--cache-gc-bytes",
         }
@@ -54,6 +57,7 @@ impl ServeKnob {
             ServeKnob::QueueDepth => "MSPEC_QUEUE_DEPTH",
             ServeKnob::DeadlineMs => "MSPEC_DEADLINE_MS",
             ServeKnob::ClientFuel => "MSPEC_CLIENT_FUEL",
+            ServeKnob::Workers => "MSPEC_THREADS",
             ServeKnob::MemoCap => "MSPEC_MEMO_CAP",
             ServeKnob::CacheGcBytes => "MSPEC_CACHE_GC_BYTES",
         }
@@ -84,8 +88,7 @@ fn knob_name(knob: ServeKnob, origin: KnobOrigin) -> &'static str {
 }
 
 /// A structured configuration error: the user turned a knob to a value
-/// the server cannot run with. Mirrors
-/// [`mspec_sched::ThreadConfigError`].
+/// the server cannot run with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeConfigError {
     /// `0` was requested for a knob that needs at least 1.
@@ -232,6 +235,7 @@ impl ServeConfig {
             ServeKnob::QueueDepth,
             ServeKnob::DeadlineMs,
             ServeKnob::ClientFuel,
+            ServeKnob::Workers,
             ServeKnob::MemoCap,
             ServeKnob::CacheGcBytes,
         ] {
@@ -264,6 +268,7 @@ impl ServeConfig {
             ServeKnob::QueueDepth => self.queue_depth = n as usize,
             ServeKnob::DeadlineMs => self.deadline_ms = n,
             ServeKnob::ClientFuel => self.client_fuel = n,
+            ServeKnob::Workers => self.workers = n as usize,
             ServeKnob::MemoCap => self.memo_cap = n as usize,
             ServeKnob::CacheGcBytes => self.cache_gc_bytes = Some(n),
         }
@@ -316,6 +321,18 @@ mod tests {
         assert_eq!(err.to_string(), "--memo-cap requires at least 1 (got 0)");
         let err = cfg.set(ServeKnob::MemoCap, KnobOrigin::Env, "many").unwrap_err();
         assert_eq!(err.to_string(), "MSPEC_MEMO_CAP expects a positive integer, got `many`");
+    }
+
+    #[test]
+    fn workers_knob_applies_and_rejects_zero() {
+        let mut cfg = ServeConfig::default();
+        assert_eq!(cfg.workers, 2);
+        cfg.set_flag(ServeKnob::Workers, "4").unwrap();
+        assert_eq!(cfg.workers, 4);
+        let err = cfg.set_flag(ServeKnob::Workers, "0").unwrap_err();
+        assert_eq!(err.to_string(), "--threads requires at least 1 (got 0)");
+        let err = cfg.set(ServeKnob::Workers, KnobOrigin::Env, "many").unwrap_err();
+        assert_eq!(err.to_string(), "MSPEC_THREADS expects a positive integer, got `many`");
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl<T> BoundedQueue<T> {
 
     /// Blocking pop; `None` once the queue is closed *and* drained.
     /// Parks with a bounded timeout, so a lost wakeup costs one period,
-    /// never a hang (same discipline as `mspec-sched`).
+    /// never a hang.
     ///
     /// A popped item counts as *in flight* until the consumer calls
     /// [`BoundedQueue::task_done`]; [`BoundedQueue::is_idle`] stays

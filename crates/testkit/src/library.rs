@@ -114,9 +114,8 @@ fn fn_name(m: usize, i: usize) -> String {
 /// Shape of a layered synthetic program: `levels × width` modules where
 /// every module at level `l > 0` imports every module at level `l - 1`.
 ///
-/// Unlike [`LibraryShape`]'s chain (width 1), this graph has genuine
-/// per-level parallelism: the `width` modules of a level are mutually
-/// independent, so a level-parallel build can process them concurrently.
+/// Unlike [`LibraryShape`]'s chain (width 1), this graph is wide: the
+/// `width` modules of a level are mutually independent.
 #[derive(Debug, Clone, Copy)]
 pub struct LayeredShape {
     /// Number of levels in the module graph (excluding `Main`).

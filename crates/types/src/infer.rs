@@ -33,7 +33,7 @@ impl ProgramTypes {
     }
 
     /// Records a function's scheme (used by drivers that infer modules
-    /// out-of-line, e.g. the level-parallel pipeline build).
+    /// one at a time, e.g. the staged pipeline build).
     pub fn insert(&mut self, q: QualName, scheme: FnScheme) {
         self.schemes.insert(q, scheme);
     }

@@ -258,15 +258,15 @@ fn generalise_policy_is_inert_when_budgets_are_not_hit() {
     assert_eq!(fallback.stats.generalised, 0);
 }
 
-/// A panic injected inside one module's build (the debug-build
-/// `MSPEC_FAULT_PANIC_MODULE` hook) must be isolated identically at
-/// every thread count: the same module reported panicked, the same
-/// dependents skipped, the same independents built — one structured
-/// [`PipelineError::Build`] report regardless of scheduling.
+/// A panic injected inside one module's build (the
+/// `MSPEC_FAULT_PANIC_MODULE` hook) is isolated: the module is reported
+/// panicked, its dependent skipped and its independent sibling built,
+/// all in one structured [`PipelineError::Build`] report. The hook is
+/// compiled only into debug builds, and so is this test.
+#[cfg(debug_assertions)]
 #[test]
-fn injected_panic_yields_identical_reports_at_every_thread_count() {
-    use mspec_core::BuildMode;
-    use std::num::NonZeroUsize;
+fn injected_panic_yields_a_structured_build_report() {
+    use mspec_core::Recorder;
     // `PanicLeaf` is unique to this test: the hook matches by module
     // name, so concurrently running tests are unaffected.
     const SRC: &str = "module PanicLeaf where\n\
@@ -277,23 +277,20 @@ fn injected_panic_yields_identical_reports_at_every_thread_count() {
         import PanicLeaf\n\
         d x = p1 x\n";
     std::env::set_var("MSPEC_FAULT_PANIC_MODULE", "PanicLeaf");
-    let build = |mode: BuildMode| {
-        Pipeline::from_source_timed(SRC, &BTreeSet::new(), mode)
-            .map(|_| ())
-            .expect_err("the injected panic must fail the build")
-    };
-    let baseline = build(BuildMode::Sequential);
-    let PipelineError::Build(report) = &baseline else {
-        panic!("expected a structured build report, got {baseline:?}");
+    let err = Pipeline::from_program_traced(
+        parse_program(SRC).unwrap(),
+        &BTreeSet::new(),
+        &Recorder::disabled(),
+    )
+    .map(|_| ())
+    .expect_err("the injected panic must fail the build");
+    std::env::remove_var("MSPEC_FAULT_PANIC_MODULE");
+    let PipelineError::Build(report) = &err else {
+        panic!("expected a structured build report, got {err:?}");
     };
     let text = report.to_string();
     assert!(text.contains("injected fault in PanicLeaf"), "{text}");
     assert!(text.contains("Down"), "dependent must be reported: {text}");
-    for t in [1usize, 2, 8] {
-        let got = build(BuildMode::Threads(NonZeroUsize::new(t).unwrap()));
-        assert_eq!(baseline, got, "build report differs at {t} thread(s)");
-    }
-    std::env::remove_var("MSPEC_FAULT_PANIC_MODULE");
 }
 
 /// Persistent residual cache under corruption: torn, truncated,

@@ -3,8 +3,14 @@
 //! libraries, strategy equivalence, baseline agreement, and the file
 //! emission round trip.
 
-use mspec_core::{EngineOptions, Pipeline, Runner, SpecArg, SpecBudget, Strategy};
+use std::collections::BTreeSet;
+
+use mspec_core::{
+    BudgetResource, EngineOptions, Pipeline, PipelineError, Runner, SpecArg, SpecBudget, Strategy,
+};
+use mspec_genext::SpecError;
 use mspec_lang::eval::Value;
+use mspec_lang::QualName;
 use mspec_mix::{mix_specialise, MixOptions};
 
 /// A tiny expression interpreter written in the object language, over
@@ -291,6 +297,56 @@ fn unbounded_polyvariance_is_caught() {
     assert!(err.to_string().contains("polyvariance"), "{err}");
 }
 
+/// A skewed forced-residual graph: one 40-deep `walk` chain next to a
+/// fan of short chains whose tails the deep chain meets again in the
+/// memo table.
+const SKEWED: &str = "module Deep where\n\
+    walk n x = if n == 1 then x else x + walk (n - 1) x\n\
+    module Main where\n\
+    import Deep\n\
+    main x = walk 40 x + (walk 3 (x + 1) + (walk 4 (x + 2) + (walk 5 (x + 3) + (walk 6 (x + 4) + (walk 7 (x + 5) + (walk 8 (x + 6) + walk 9 (x + 7)))))))\n";
+
+/// Forcing `walk` residual makes one residual definition per distinct
+/// static argument, and the residual still computes what the source
+/// does.
+#[test]
+fn forced_residual_chain_is_polyvariant_and_correct() {
+    let forced: BTreeSet<QualName> = [QualName::new("Deep", "walk")].into();
+    let p = Pipeline::from_source_with(SKEWED, &forced).unwrap();
+    let s = p.specialise("Main", "main", vec![SpecArg::Dynamic]).unwrap();
+    // 40 distinct static arguments for walk, plus the entry.
+    assert!(
+        s.stats.specialisations > 40,
+        "expected >40 residual defs, got {}",
+        s.stats.specialisations
+    );
+    let direct = mspec_core::run_source(SKEWED, "Main", "main", vec![Value::nat(1)]).unwrap();
+    assert_eq!(s.run(vec![Value::nat(1)]).unwrap(), direct);
+}
+
+/// The same chain under a five-specialisation budget fails with a
+/// structured budget error naming the resource.
+#[test]
+fn forced_residual_chain_breaches_the_specialisation_budget() {
+    let forced: BTreeSet<QualName> = [QualName::new("Deep", "walk")].into();
+    let p = Pipeline::from_source_with(SKEWED, &forced).unwrap();
+    let options = EngineOptions {
+        budget: SpecBudget { max_specialisations: 5, ..SpecBudget::default() },
+        ..EngineOptions::default()
+    };
+    let err = p.specialise_opts("Main", "main", vec![SpecArg::Dynamic], options).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            PipelineError::Spec(SpecError::BudgetExhausted {
+                resource: BudgetResource::Specialisations,
+                ..
+            })
+        ),
+        "{err:?}"
+    );
+}
+
 /// Static errors in the static computation are detected at
 /// specialisation time (running the source would fail the same way).
 #[test]
@@ -303,21 +359,42 @@ fn static_division_by_zero_is_caught() {
 /// A static run-time error under a conditional the analysis made
 /// dynamic may sit in dead code: `head (tail [17])` is only reached when
 /// `tail [17]` is non-empty. Specialisation must not fail, and the
-/// residual must agree with the source under both runners.
+/// residual must agree with the source under both runners. In the
+/// second input the error comes after the branch has requested a
+/// residual definition (`h d`): the branch becomes `head []` and the
+/// requested definition is still built.
 #[test]
 fn static_error_in_a_dead_dynamic_branch_does_not_abort() {
-    let src = "module M where\nf p0 p1 = if null (tail (if true then (if false then p0 else p0) else p1 : p0)) then p1 else head (tail (if true then (if false then p0 else p0) else p1 : p0))\n";
-    let p = Pipeline::from_source(src).unwrap();
-    let p0 = Value::list(vec![Value::nat(17)]);
-    for strategy in [Strategy::BreadthFirst, Strategy::DepthFirst] {
-        let options = EngineOptions { strategy, ..EngineOptions::default() };
-        let s = p
-            .specialise_opts("M", "f", vec![SpecArg::Static(p0.clone()), SpecArg::Dynamic], options)
-            .unwrap();
-        for runner in [Runner::Tree, Runner::Vm] {
-            let want = p.run_source_with(runner, "M", "f", vec![p0.clone(), Value::nat(5)]);
-            assert_eq!(want.unwrap(), Value::nat(5));
-            assert_eq!(s.run_with(runner, vec![Value::nat(5)]).unwrap(), Value::nat(5));
+    let cases = [
+        (
+            "module M where\nf p0 p1 = if null (tail (if true then (if false then p0 else p0) else p1 : p0)) then p1 else head (tail (if true then (if false then p0 else p0) else p1 : p0))\n",
+            "f",
+            Value::list(vec![Value::nat(17)]),
+            5,
+            None,
+        ),
+        (
+            "module M where\nh d = if d == 0 then 0 else h (d - 1)\ng xs d = if d == 0 then d else h d + head xs\n",
+            "g",
+            Value::list(vec![]),
+            0,
+            Some("else head []"),
+        ),
+    ];
+    for (src, f, p0, d, fragment) in cases {
+        let p = Pipeline::from_source(src).unwrap();
+        for strategy in [Strategy::BreadthFirst, Strategy::DepthFirst] {
+            let options = EngineOptions { strategy, ..EngineOptions::default() };
+            let args = vec![SpecArg::Static(p0.clone()), SpecArg::Dynamic];
+            let s = p.specialise_opts("M", f, args, options).unwrap();
+            if let Some(fragment) = fragment {
+                assert!(s.source().contains(fragment), "{}", s.source());
+            }
+            for runner in [Runner::Tree, Runner::Vm] {
+                let want = p.run_source_with(runner, "M", f, vec![p0.clone(), Value::nat(d)]);
+                assert_eq!(want.unwrap(), Value::nat(d));
+                assert_eq!(s.run_with(runner, vec![Value::nat(d)]).unwrap(), Value::nat(d));
+            }
         }
     }
 }

@@ -2,15 +2,11 @@
 //! timestamps, the power example's event log matches a golden file,
 //! emitted logs pass `telemetry::validate`, and `telemetry::explain`
 //! reconstructs the request chain of residual functions.
-//!
-//! Determinism tests build under [`BuildMode::Sequential`]: span ids and
-//! spec seqs come from monotone counters, but parallel level builds
-//! interleave the *order* in which threads append events.
 
 use std::collections::BTreeSet;
 
 use mspec_core::telemetry::{self, EventKind, Snapshot};
-use mspec_core::{BuildMode, EngineOptions, Pipeline, Recorder, SpecArg};
+use mspec_core::{EngineOptions, Pipeline, Recorder, SpecArg};
 use mspec_lang::eval::Value;
 use mspec_lang::parser::parse_program;
 use mspec_lang::QualName;
@@ -47,8 +43,7 @@ fn traced_power_run() -> Snapshot {
     let rec = Recorder::enabled();
     let forced: BTreeSet<QualName> = [QualName::new("Power", "power")].into();
     let program = parse_program(POWER).unwrap();
-    let (p, _times) =
-        Pipeline::from_program_traced(program, &forced, BuildMode::Sequential, &rec).unwrap();
+    let (p, _times) = Pipeline::from_program_traced(program, &forced, &rec).unwrap();
     let s = p
         .specialise_traced(
             "Power",
@@ -71,20 +66,14 @@ fn traced_jsonl_is_deterministic_modulo_timestamps() {
 }
 
 /// A fixed-seed `TestRng` workload traces identically across runs —
-/// the generator is deterministic per seed and sequential builds order
+/// the generator is deterministic per seed and the staged build orders
 /// events deterministically.
 #[test]
 fn random_program_trace_is_deterministic() {
     let run = || {
         let rec = Recorder::enabled();
         let generated = random_program(&GenConfig { seed: 7, ..GenConfig::default() });
-        Pipeline::from_program_traced(
-            generated.program,
-            &BTreeSet::new(),
-            BuildMode::Sequential,
-            &rec,
-        )
-        .unwrap();
+        Pipeline::from_program_traced(generated.program, &BTreeSet::new(), &rec).unwrap();
         scrub_timestamps(&rec.snapshot().to_jsonl())
     };
     let a = run();
@@ -108,9 +97,7 @@ fn library_trace_is_deterministic() {
     let run = || {
         let rec = Recorder::enabled();
         let (program, entry) = library_program(&shape);
-        let (p, _) =
-            Pipeline::from_program_traced(program, &BTreeSet::new(), BuildMode::Sequential, &rec)
-                .unwrap();
+        let (p, _) = Pipeline::from_program_traced(program, &BTreeSet::new(), &rec).unwrap();
         p.specialise_traced(
             entry.module.as_str(),
             entry.name.as_str(),
@@ -124,58 +111,8 @@ fn library_trace_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// Both work-stealing layers report scheduler telemetry: a threaded
-/// pipeline build and a threaded specialisation each emit `sched.tasks`
-/// (one per unit of work) and a `sched.steals` counter.
-#[test]
-fn threaded_runs_emit_scheduler_counters() {
-    let shape = LibraryShape {
-        modules: 4,
-        fns_per_module: 4,
-        used_fns: 3,
-        exponent: 5,
-        cross_module: true,
-    };
-    let (program, entry) = library_program(&shape);
-    let n_modules = program.modules.len() as u64;
-    let threads = std::num::NonZeroUsize::new(4).unwrap();
-
-    let rec = Recorder::enabled();
-    let (p, _) =
-        Pipeline::from_program_traced(program, &BTreeSet::new(), BuildMode::Threads(threads), &rec)
-            .unwrap();
-    let build_counters = rec.snapshot().counters;
-    let count = |snap: &[(String, u64)], key: &str| {
-        snap.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    };
-    let tasks = count(&build_counters, "sched.tasks").expect("build sched.tasks counter");
-    assert_eq!(tasks, n_modules, "one scheduler task per module");
-    assert!(count(&build_counters, "sched.steals").is_some(), "build sched.steals counter");
-
-    let rec = Recorder::enabled();
-    let s = p
-        .specialise_threaded(
-            entry.module.as_str(),
-            entry.name.as_str(),
-            vec![SpecArg::Dynamic],
-            EngineOptions::default(),
-            threads,
-            &rec,
-        )
-        .unwrap();
-    let spec_counters = rec.snapshot().counters;
-    let tasks = count(&spec_counters, "sched.tasks").expect("spec sched.tasks counter");
-    assert!(
-        tasks >= s.stats.specialisations as u64,
-        "every residual def is a scheduler task ({tasks} tasks, {} defs)",
-        s.stats.specialisations
-    );
-    assert!(count(&spec_counters, "sched.steals").is_some(), "spec sched.steals counter");
-}
-
-/// `mspec spec --metrics` builds the way an untraced `spec` does — one
-/// module at a time — unless a thread count is asked for: the log
-/// records the build but no scheduler counters.
+/// `mspec spec --metrics` builds one module at a time, as an untraced
+/// `spec` does: the log records the build but no scheduler counters.
 #[test]
 fn traced_cli_spec_builds_sequentially() {
     let dir = std::env::temp_dir().join(format!("mspec-traced-spec-{}", std::process::id()));
@@ -190,7 +127,6 @@ fn traced_cli_spec_builds_sequentially() {
         .arg(&src)
         .args(["--entry", "Main.main", "--args", "D", "--metrics"])
         .arg(&log)
-        .env_remove("MSPEC_THREADS")
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -300,9 +236,7 @@ fn explain_reconstructs_power_chain() {
 fn explain_interpreter_example() {
     let rec = Recorder::enabled();
     let program = parse_program(INTERP).unwrap();
-    let (p, _) =
-        Pipeline::from_program_traced(program, &BTreeSet::new(), BuildMode::Sequential, &rec)
-            .unwrap();
+    let (p, _) = Pipeline::from_program_traced(program, &BTreeSet::new(), &rec).unwrap();
     p.specialise_traced(
         "Interp",
         "run",
@@ -330,9 +264,7 @@ fn explain_interpreter_example() {
 fn disabled_recorder_emits_nothing() {
     let rec = Recorder::disabled();
     let program = parse_program(POWER).unwrap();
-    let (p, _) =
-        Pipeline::from_program_traced(program, &BTreeSet::new(), BuildMode::Sequential, &rec)
-            .unwrap();
+    let (p, _) = Pipeline::from_program_traced(program, &BTreeSet::new(), &rec).unwrap();
     p.specialise_traced(
         "Power",
         "power",
