@@ -104,7 +104,7 @@ fn residual_vm(
 fn pipeline_session(rec: &Recorder) -> Duration {
     time_min(60, || {
         let program = parse_program(POWER).unwrap();
-        let (p, _) = Pipeline::from_program_traced(program, &BTreeSet::new(), rec).unwrap();
+        let p = Pipeline::from_program_traced(program, &BTreeSet::new(), rec).unwrap();
         p.specialise_traced(
             "Power",
             "power",
@@ -324,7 +324,7 @@ fn per_request_replay_identity() -> (bool, usize) {
         .map(|&n| {
             let brec = Recorder::enabled();
             let program = parse_program(POWER).expect("parse");
-            let (p, _) =
+            let p =
                 Pipeline::from_program_traced(program, &BTreeSet::new(), &brec).expect("build");
             p.specialise_traced(
                 "Power",
@@ -402,14 +402,6 @@ fn run() {
         .unwrap();
     let library_row =
         residual_vm("library_16x8_defs", &library, vec![Value::nat(9)], 200, &baselines);
-
-    // --- per-phase build times ----------------------------------------
-    let (_, phases) = Pipeline::from_program_traced(
-        parse_program(POWER).unwrap(),
-        &BTreeSet::new(),
-        &Recorder::disabled(),
-    )
-    .unwrap();
 
     // --- recorder cost on the in-memory pipeline ---------------------
     let plain = pipeline_session_plain();
@@ -520,16 +512,6 @@ fn run() {
             ]),
         ),
         (
-            "phases_ns",
-            Json::obj([
-                ("typecheck", nanos(phases.typecheck)),
-                ("bta", nanos(phases.bta)),
-                ("cogen", nanos(phases.cogen)),
-                ("link", nanos(phases.link)),
-                ("total", nanos(phases.total)),
-            ]),
-        ),
-        (
             "residual_vm_vs_pr4",
             Json::Obj(
                 residual_rows
@@ -620,9 +602,6 @@ fn run() {
             None => println!("  {:<20} vm {} us   (no pr4 baseline)", r.key, us(r.vm)),
         }
     }
-    println!();
-    println!("Build phases (sequential): typecheck {} us  bta {} us  cogen {} us  link {} us",
-        us(phases.typecheck), us(phases.bta), us(phases.cogen), us(phases.link));
     println!();
     println!("Pipeline session (parse + build + specialise, power n=64):");
     println!("  plain API         {} us", us(plain));

@@ -1,12 +1,14 @@
-//! E7/E8 table: residual-program *quality* measured as evaluation steps
-//! of the compiled runner (deterministic, machine-independent).
+//! E7/E8 table: residual-program *quality* measured as evaluation steps:
+//! the fuel the VM spends, which equals the tree evaluator's step count
+//! (deterministic, machine-independent).
 //!
 //! Run: `cargo run --release -p mspec-bench --bin quality_table`
 
 use mspec_core::{Pipeline, SpecArg};
-use mspec_lang::compile::{compile_program, CEvaluator};
+use mspec_lang::bytecode::compile;
 use mspec_lang::eval::{with_big_stack, Value};
-use mspec_lang::resolve::resolve;
+use mspec_lang::resolve::{resolve, ResolvedProgram};
+use mspec_lang::vm::Vm;
 use mspec_lang::QualName;
 use mspec_mix::{mix_specialise, similix_specialise, MixOptions};
 
@@ -16,13 +18,18 @@ const SRC: &str = "module Power where\n\
     import Power\n\
     main a b = power 12 a + power b 2\n";
 
+/// VM fuel spent running `entry` of a resolved program on `args`.
+fn vm_steps(rp: &ResolvedProgram, entry: &QualName, args: Vec<Value>) -> u64 {
+    let bc = compile(rp).expect("program compiles");
+    let budget = 1_000_000_000u64;
+    let mut vm = Vm::with_fuel(&bc, budget);
+    vm.call(entry, args).expect("program runs");
+    budget - vm.fuel_left()
+}
+
 fn steps(program: &mspec_lang::Program, entry: &QualName, args: Vec<Value>) -> (u64, usize) {
     let rp = resolve(program.clone()).expect("residual resolves");
-    let cp = compile_program(&rp);
-    let budget = 1_000_000_000u64;
-    let mut ev = CEvaluator::with_fuel(&cp, budget);
-    ev.call_values(entry, args).expect("residual runs");
-    (budget - ev.fuel_left(), mspec_lang::pretty::source_lines(program))
+    (vm_steps(&rp, entry, args), mspec_lang::pretty::source_lines(program))
 }
 
 fn main() {
@@ -31,21 +38,17 @@ fn main() {
 
 fn run() {
     println!("E7/E8: residual program quality on `main a b = power 12 a + power b 2`");
-    println!("(steps = compiled-evaluator operations per run at a=3, b=9; lines = residual size)");
+    println!("(steps = VM fuel per run at a=3, b=9; lines = residual size)");
     println!("{:<34} {:>8} {:>8}", "specialiser", "steps", "lines");
     let args = vec![Value::nat(3), Value::nat(9)];
 
     // Source program, unspecialised (the baseline of baselines).
     {
         let rp = resolve(mspec_lang::parser::parse_program(SRC).unwrap()).unwrap();
-        let cp = compile_program(&rp);
-        let budget = 1_000_000_000u64;
-        let mut ev = CEvaluator::with_fuel(&cp, budget);
-        ev.call_values(&QualName::new("Main", "main"), args.clone()).unwrap();
         println!(
             "{:<34} {:>8} {:>8}",
             "source (no specialisation)",
-            budget - ev.fuel_left(),
+            vm_steps(&rp, &QualName::new("Main", "main"), args.clone()),
             mspec_lang::pretty::source_lines(rp.program())
         );
     }

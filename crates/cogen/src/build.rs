@@ -1,42 +1,196 @@
-//! An incremental cogen build driver.
+//! Builds: every way a program becomes generating extensions.
 //!
-//! "When a module is added to a software system, it can be analysed and
-//! tailored for specialisation once and for all" (§9). This module makes
-//! that workflow concrete, in the style of `make`:
+//! The paper turns each module, in import order, into its generating
+//! extension in three steps (§4): Hindley–Milner typing, a binding-time
+//! analysis whose types mirror the HM types, then cogen. Each step needs
+//! only the interfaces of the module's imports. Two builds run that
+//! sequence:
 //!
-//! * a *source tree* is a directory of `Module.mspec` files (one module
-//!   per file, file name = module name),
-//! * [`build`] processes modules in dependency order and writes
-//!   `Module.bti` + `Module.gx` (+ readable `GenModule.txt`) into an
-//!   artefact directory,
-//! * a module is **rebuilt only when stale**: its source is newer than
-//!   its artefacts, or any import's interface file is newer (interface
-//!   changes propagate; mere rebuilds that leave the `.bti` byte-identical
-//!   do not dirty downstream modules),
-//! * [`link_dir`] loads every `.gx` in an artefact directory into a
-//!   runnable [`GenProgram`] — no source needed.
+//! * [`build_program`] builds a resolved program in memory and links the
+//!   result. It is the one front end of the library's `Pipeline`, the
+//!   `mspec` CLI and the daemon's inline programs.
+//! * [`build`] builds a source tree incrementally, in the style of `make`
+//!   ("when a module is added to a software system, it can be analysed
+//!   and tailored for specialisation once and for all", §9):
+//!   * a *source tree* is a directory of `Module.mspec` files (one
+//!     module per file, file name = module name),
+//!   * modules are processed in dependency order, writing `Module.bti`,
+//!     `Module.gx` and a readable `GenModule.txt` into an artefact
+//!     directory,
+//!   * every module is typechecked, but a module is **rebuilt only when
+//!     stale**: its source is newer than its artefacts, or any import's
+//!     interface file is newer (interface changes propagate; mere
+//!     rebuilds that leave the `.bti` byte-identical do not dirty
+//!     downstream modules).
+//!
+//! [`link_dir`] loads every `.gx` in an artefact directory into a
+//! runnable [`GenProgram`] — no source needed.
 
+use crate::compile::compile_module;
 use crate::files::{
     bti_fingerprint, cogen_with, gx_header_checksum, load_gx_unit, load_import, CogenError,
 };
-use mspec_bta::BtInterface;
-use mspec_genext::GenProgram;
-use mspec_lang::ast::{Ident, ModName, Module, Program};
-use mspec_lang::modgraph::ModGraph;
+use mspec_bta::analyse::analyse_module_with_traced;
+use mspec_bta::{AnnModule, AnnProgram, BtInterface, BtaError};
+use mspec_genext::{GenModule, GenProgram};
+use mspec_lang::ast::{Ident, ModName, Module, Program, QualName};
 use mspec_lang::parser::parse_module;
-use mspec_lang::resolve::resolve;
+use mspec_lang::resolve::{resolve, ResolvedProgram};
 use mspec_telemetry::{ModuleOutcome, Recorder};
+use mspec_types::{infer_module_traced, ProgramTypes, TypeInterface};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Instant, SystemTime};
 
-/// The result of a build run: the canonical telemetry report at this
-/// crate's error type. Modules are [`ModuleOutcome::Built`] when their
+/// The outcome of a build, module by module in topological order: the
+/// canonical telemetry report at this crate's error type.
+///
+/// From [`build_program`], a module is [`ModuleOutcome::Built`],
+/// [`ModuleOutcome::Failed`] or [`ModuleOutcome::Skipped`] (an import
+/// did not build). From [`build`], a module is `Built` when its
 /// artefacts were (re)written and [`ModuleOutcome::UpToDate`] when left
-/// alone; errors abort the build, so `Failed`/`Skipped` never appear
-/// here (unlike `core::parbuild`, which shares this type).
+/// alone; errors abort that build, so `Failed` and `Skipped` never
+/// appear there.
 pub type BuildReport = mspec_telemetry::BuildReport<CogenError>;
+
+/// Builds a resolved program in memory: typechecks, binding-time
+/// analyses and cogens each module in topological order against the
+/// interfaces of its imports, then links the generating extensions.
+/// `force_residual` names functions that must never be unfolded (the
+/// paper's §5 hand annotation).
+///
+/// Builds are *fault-isolated*: a module whose stages fail, or panic,
+/// does not stop the build. The panic is caught
+/// ([`std::panic::catch_unwind`]), every module not depending on the
+/// failed one still builds, and a module whose import did not build is
+/// skipped, naming the culprit.
+///
+/// Telemetry: one `build` span (detail: the module count) holding a
+/// `build-module` span per module, with `typecheck`, `bta` and `cogen`
+/// inside it, then a `link` span; a `build.modules_built` counter.
+///
+/// # Errors
+///
+/// The [`BuildReport`] of every module when any module failed, panicked
+/// or was skipped. An override naming no function fails the override's
+/// module before anything builds.
+pub fn build_program(
+    resolved: &ResolvedProgram,
+    force_residual: &BTreeSet<QualName>,
+    rec: &Recorder,
+) -> Result<(ProgramTypes, AnnProgram, GenProgram), BuildReport> {
+    let mut report = BuildReport::default();
+    for q in force_residual {
+        if resolved.def(q).is_none() {
+            let e = BtaError::UnknownOverride { module: q.module, name: q.name };
+            report.push(q.module, ModuleOutcome::Failed(e.into()));
+        }
+    }
+    if !report.is_clean() {
+        return Err(report);
+    }
+
+    let build_span = if rec.is_enabled() {
+        rec.span_with("build", &format!("{} modules", resolved.program().modules.len()))
+    } else {
+        rec.span("build")
+    };
+    let mut types = ProgramTypes::default();
+    let mut type_ifaces: BTreeMap<ModName, TypeInterface> = BTreeMap::new();
+    let mut bt_ifaces: BTreeMap<ModName, BtInterface> = BTreeMap::new();
+    let mut ann_modules: Vec<AnnModule> = Vec::new();
+    let mut gen_modules: Vec<GenModule> = Vec::new();
+    for name in resolved.graph().topo_order() {
+        // Imports come first in topological order, so an import without
+        // interfaces by now did not build: skip, naming it.
+        let imports = resolved.graph().direct_imports(name);
+        if let Some(culprit) = imports.iter().find(|m| !type_ifaces.contains_key(m)) {
+            report.push(*name, ModuleOutcome::Skipped { import: *culprit });
+            continue;
+        }
+        let module = resolved
+            .program()
+            .module(name.as_str())
+            .expect("topo order lists only program modules");
+        let built =
+            isolated(|| build_module(module, &type_ifaces, &bt_ifaces, force_residual, rec));
+        let (ty, ann, gen) = match built {
+            Ok(built) => built,
+            Err(e) => {
+                report.push(*name, ModuleOutcome::Failed(e));
+                continue;
+            }
+        };
+        for (f, scheme) in ty.iter() {
+            types.insert(QualName { module: *name, name: *f }, scheme.clone());
+        }
+        type_ifaces.insert(*name, ty);
+        bt_ifaces.insert(*name, ann.interface.clone());
+        ann_modules.push(ann);
+        gen_modules.push(gen);
+        report.push(*name, ModuleOutcome::Built);
+    }
+    if !report.is_clean() {
+        return Err(report);
+    }
+
+    let gen = {
+        let _link = rec.span("link");
+        // Resolution already rejected duplicate definitions, unknown
+        // imports and import cycles, the only ways linking can fail.
+        GenProgram::link(gen_modules).expect("a resolved program links")
+    };
+    drop(build_span);
+    rec.count("build.modules_built", report.rebuilt() as u64);
+    Ok((types, AnnProgram { modules: ann_modules }, gen))
+}
+
+/// Runs one module's stages, turning a panic into
+/// [`CogenError::Panicked`], so one bad module cannot take down the
+/// build or the process.
+fn isolated<T>(stages: impl FnOnce() -> Result<T, CogenError>) -> Result<T, CogenError> {
+    catch_unwind(AssertUnwindSafe(stages)).unwrap_or_else(|payload| {
+        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(CogenError::Panicked(msg))
+    })
+}
+
+/// Typecheck, BTA and cogen for one module against the interfaces of
+/// the modules built before it.
+fn build_module(
+    module: &Module,
+    type_ifaces: &BTreeMap<ModName, TypeInterface>,
+    bt_ifaces: &BTreeMap<ModName, BtInterface>,
+    force_residual: &BTreeSet<QualName>,
+    rec: &Recorder,
+) -> Result<(TypeInterface, AnnModule, GenModule), CogenError> {
+    let name = module.name;
+    let _span = rec.span_with("build-module", name.as_str());
+    // Debug-build fault hook for the fault-injection suite: a panic
+    // injected inside a module's stages must be isolated
+    // (`tests/fault_injection.rs`).
+    #[cfg(debug_assertions)]
+    if std::env::var("MSPEC_FAULT_PANIC_MODULE").as_deref() == Ok(name.as_str()) {
+        panic!("injected fault in {name}");
+    }
+    let forced: BTreeSet<Ident> =
+        force_residual.iter().filter(|q| q.module == name).map(|q| q.name).collect();
+    let ty = infer_module_traced(module, type_ifaces, rec)?;
+    let ann = analyse_module_with_traced(module, bt_ifaces, &forced, rec)?;
+    let gen = {
+        let _cogen = rec.span_with("cogen", name.as_str());
+        compile_module(&ann)
+    };
+    Ok((ty, ann, gen))
+}
 
 /// Options controlling a build.
 #[derive(Debug, Clone, Default)]
@@ -52,8 +206,9 @@ pub struct BuildOptions {
 /// # Errors
 ///
 /// I/O errors, parse/resolution errors (the whole tree is resolved to
-/// validate cross-module references and compute the build order), and
-/// any analysis error from rebuilt modules.
+/// validate cross-module references and compute the build order), a
+/// type error in any module, and any analysis error from rebuilt
+/// modules.
 pub fn build(
     src_dir: impl AsRef<Path>,
     out_dir: impl AsRef<Path>,
@@ -63,8 +218,8 @@ pub fn build(
 }
 
 /// [`build`] with telemetry: one `cogen-build` span for the run, a
-/// `cogen-module` span per rebuilt module, and `io.*` counters for
-/// artefact bytes written.
+/// `typecheck` span per module, a `cogen-module` span per rebuilt
+/// module, and `io.*` counters for artefact bytes written.
 ///
 /// # Errors
 ///
@@ -102,12 +257,10 @@ pub fn build_traced(
     }
 
     // Resolve the whole tree once: validates references and gives the
-    // dependency order. (Analysis itself still runs per-module through
-    // interface files only.)
+    // dependency order. (Typing and analysis still run per module,
+    // against the interfaces of its imports only.)
     let program = Program::new(modules.iter().map(|(m, _)| m.clone()).collect());
     let resolved = resolve(program)?;
-    let graph = ModGraph::new(resolved.program())
-        .expect("resolution validated the module graph");
 
     let path_of: BTreeMap<&ModName, &PathBuf> =
         modules.iter().map(|(m, p)| (&m.name, p)).collect();
@@ -115,10 +268,14 @@ pub fn build_traced(
     let mut report =
         BuildReport { out_dir: Some(out_dir.to_path_buf()), ..BuildReport::default() };
 
+    let mut types: BTreeMap<ModName, TypeInterface> = BTreeMap::new();
     let mut ifaces = Interfaces::default();
     let mut iface_changed: BTreeSet<ModName> = BTreeSet::new();
-    for name in graph.topo_order() {
+    for name in resolved.graph().topo_order() {
         let module = resolved.program().module(name.as_str()).unwrap();
+        // Up-to-date modules are typechecked too: their importers are
+        // checked against their type interfaces, which no artefact holds.
+        types.insert(*name, infer_module_traced(module, &types, rec)?);
         let imports_changed = module.imports.iter().any(|i| iface_changed.contains(i));
         let (outcome, changed) =
             build_one(module, path_of[&name], out_dir, options, imports_changed, &mut ifaces, rec)?;
@@ -588,5 +745,143 @@ mod tests {
         assert!(matches!(r.outcome("Top"), Some(ModuleOutcome::Built)));
         assert!(matches!(r.outcome("Lone"), Some(ModuleOutcome::UpToDate)));
         let _ = fs::remove_dir_all(src.parent().unwrap());
+    }
+
+    /// A type error in a module aborts the artefact build with
+    /// [`CogenError::Type`], before its artefacts (or any importer's)
+    /// are written.
+    #[test]
+    fn ill_typed_module_fails_the_artefact_build() {
+        let (src, out) = setup("ill-typed");
+        fs::write(src.join("Power.mspec"), "module Power where\npower n x = x + (n < 1)\n")
+            .unwrap();
+        let err = build(&src, &out, &BuildOptions::default()).unwrap_err();
+        let CogenError::Type(e) = &err else { panic!("expected a type error, got {err}") };
+        assert!(e.to_string().contains("Power.power"), "{e}");
+        assert!(!out.join("Power.gx").exists() && !out.join("Main.gx").exists());
+        let _ = fs::remove_dir_all(src.parent().unwrap());
+    }
+
+    /// An up-to-date import is typechecked too: its importer is checked
+    /// against its type interface, which no artefact records.
+    #[test]
+    fn importers_are_typechecked_against_up_to_date_imports() {
+        let (src, out) = setup("typed-import");
+        build(&src, &out, &BuildOptions::default()).unwrap();
+        set_mtime_back(&src.join("Power.mspec"), 60);
+        rewrite(&src, &out, "Main", "module Main where\nimport Power\nmain y = power true y\n");
+        let err = build(&src, &out, &BuildOptions::default()).unwrap_err();
+        assert!(matches!(err, CogenError::Type(_)), "{err}");
+        assert!(err.to_string().contains("Main.main"), "{err}");
+        let _ = fs::remove_dir_all(src.parent().unwrap());
+    }
+
+    /// A 4-module diamond: `d1 x = (2(x+1)) + ((x+1)+3)`.
+    const DIAMOND: &str = "module A where\n\
+        a1 x = x + 1\n\
+        module B where\n\
+        import A\n\
+        b1 x = a1 x * 2\n\
+        module C where\n\
+        import A\n\
+        c1 x = a1 x + 3\n\
+        module D where\n\
+        import B\n\
+        import C\n\
+        d1 x = b1 x + c1 x\n";
+
+    fn build_source(
+        src: &str,
+        forced: &BTreeSet<QualName>,
+    ) -> Result<(ProgramTypes, AnnProgram, GenProgram), BuildReport> {
+        let rp = resolve(mspec_lang::parser::parse_program(src).unwrap()).unwrap();
+        build_program(&rp, forced, &Recorder::disabled())
+    }
+
+    /// Modules build in topological order: imports first, otherwise in
+    /// the order the whole-program stages use.
+    #[test]
+    fn front_end_builds_in_topological_order() {
+        let src = "module A where\na1 x = x + 1\n\
+            module B where\nimport A\nb1 x = a1 x * 2\n\
+            module C where\nc1 x = x\n";
+        let (_, ann, _) = build_source(src, &BTreeSet::new()).unwrap();
+        let order: Vec<&str> = ann.modules.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(order, ["A", "B", "C"]);
+    }
+
+    /// Module by module, the front end computes what the whole-program
+    /// stages compute: the same types, annotations and residuals.
+    #[test]
+    fn front_end_matches_whole_program_stages() {
+        let rp = resolve(mspec_lang::parser::parse_program(DIAMOND).unwrap()).unwrap();
+        let forced: BTreeSet<QualName> = [QualName::new("A", "a1")].into();
+        let (types, ann, gen) = build_program(&rp, &forced, &Recorder::disabled()).unwrap();
+        let whole_types = mspec_types::infer_program(&rp).unwrap();
+        assert!(types.iter().eq(whole_types.iter()));
+        let whole_ann = mspec_bta::analyse::analyse_program_with(&rp, &forced).unwrap();
+        assert_eq!(ann, whole_ann);
+        let whole_gen = crate::compile::compile_program(&whole_ann).unwrap();
+        let residual = |g: &GenProgram| {
+            let mut engine = mspec_genext::Engine::new(g, mspec_genext::EngineOptions::default());
+            let r = engine
+                .specialise(&QualName::new("D", "d1"), vec![mspec_genext::SpecArg::Dynamic])
+                .unwrap();
+            mspec_lang::pretty::pretty_program(&r.program)
+        };
+        assert_eq!(residual(&gen), residual(&whole_gen));
+    }
+
+    /// B has a type error (boolean + nat); C is independent and must
+    /// still build; D imports B and must be skipped, naming B.
+    #[test]
+    fn failing_module_reports_aggregate_and_skips_dependents() {
+        let src = "module A where\n\
+            a1 x = x + 1\n\
+            module B where\n\
+            import A\n\
+            b1 x = a1 x + (1 < 2)\n\
+            module C where\n\
+            import A\n\
+            c1 x = a1 x + 3\n\
+            module D where\n\
+            import B\n\
+            import C\n\
+            d1 x = b1 x + c1 x\n";
+        let report = build_source(src, &BTreeSet::new()).unwrap_err();
+        let failed = report.failed();
+        assert_eq!(failed.len(), 1, "{report}");
+        assert_eq!(failed[0].0.as_str(), "B");
+        assert!(matches!(failed[0].1, CogenError::Type(_)));
+        assert_eq!(report.skipped(), vec![(ModName::new("D"), ModName::new("B"))]);
+        let built = report.built();
+        let built: Vec<&str> = built.iter().map(|m| m.as_str()).collect();
+        assert_eq!(built, ["A", "C"], "siblings of a failed module still build");
+        let text = report.to_string();
+        assert!(text.contains("1 failed, 1 skipped, 2 built"), "{text}");
+        assert!(text.contains("B: type mismatch in B.b1"), "{text}");
+    }
+
+    /// A panic in a module's stages becomes that module's error.
+    #[test]
+    fn panicking_module_is_captured_not_fatal() {
+        let module = "B";
+        let formatted: Result<u32, CogenError> = isolated(|| panic!("injected fault in {module}"));
+        assert_eq!(formatted, Err(CogenError::Panicked("injected fault in B".into())));
+        let literal: Result<u32, CogenError> = isolated(|| panic!("static payload"));
+        assert_eq!(literal, Err(CogenError::Panicked("static payload".into())));
+        assert_eq!(isolated(|| Ok::<u32, CogenError>(7)), Ok(7));
+    }
+
+    /// An override naming no function fails its module before anything
+    /// builds.
+    #[test]
+    fn unknown_override_fails_before_anything_builds() {
+        let forced: BTreeSet<QualName> = [QualName::new("D", "ghost")].into();
+        let report = build_source(DIAMOND, &forced).unwrap_err();
+        let failed = report.failed();
+        assert_eq!(failed.len(), 1, "{report}");
+        assert!(matches!(failed[0].1, CogenError::Bta(BtaError::UnknownOverride { .. })));
+        assert!(report.built().is_empty(), "{report}");
     }
 }

@@ -46,6 +46,7 @@ use mspec_lang::ast::{Def, Expr, Ident, ModName, QualName, Module};
 use mspec_lang::error::LangError;
 use mspec_lang::parser::parse_module;
 use mspec_lang::{FromJson, Json, JsonError, ToJson};
+use mspec_types::TypeError;
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
@@ -54,11 +55,13 @@ use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Errors from the file-level cogen pipeline.
-#[derive(Debug)]
+/// Errors from the cogen pipeline, in memory or on disk.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CogenError {
     /// Parsing or resolution failed.
     Lang(LangError),
+    /// Hindley–Milner type checking failed.
+    Type(TypeError),
     /// Binding-time analysis failed.
     Bta(BtaError),
     /// Linking or engine-level failure.
@@ -78,12 +81,15 @@ pub enum CogenError {
         /// The import whose interface changed underneath it.
         import: ModName,
     },
+    /// A module's build panicked; the payload message is preserved.
+    Panicked(String),
 }
 
 impl fmt::Display for CogenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CogenError::Lang(e) => write!(f, "{e}"),
+            CogenError::Type(e) => write!(f, "{e}"),
             CogenError::Bta(e) => write!(f, "{e}"),
             CogenError::Spec(e) => write!(f, "{e}"),
             CogenError::Io(m) => write!(f, "cogen I/O error: {m}"),
@@ -98,6 +104,7 @@ impl fmt::Display for CogenError {
                      {import}.bti (re-run cogen for {module})"
                 )
             }
+            CogenError::Panicked(msg) => write!(f, "panicked: {msg}"),
         }
     }
 }
@@ -107,6 +114,12 @@ impl Error for CogenError {}
 impl From<LangError> for CogenError {
     fn from(e: LangError) -> CogenError {
         CogenError::Lang(e)
+    }
+}
+
+impl From<TypeError> for CogenError {
+    fn from(e: TypeError) -> CogenError {
+        CogenError::Type(e)
     }
 }
 
@@ -719,6 +732,10 @@ pub struct CogenOutput {
 /// `force_residual` names definitions of this module that must never be
 /// unfolded (the paper's hand annotation in §5).
 ///
+/// The module is not typechecked here: neither `.bti` nor `.sig` files
+/// carry its imports' types. Both builds in [`crate::build`]
+/// typecheck every module before calling this.
+///
 /// # Errors
 ///
 /// [`CogenError::MissingInterface`] when an import was not processed
@@ -782,7 +799,7 @@ pub(crate) fn cogen_with(
 
 /// Convenience: parses module source text, resolves it against the
 /// `.sig` files already in `dir` (no library source!), and runs
-/// [`cogen_module`].
+/// [`cogen_module`], which does not typecheck.
 ///
 /// # Errors
 ///

@@ -15,17 +15,21 @@
 //! * [`files`] — write/read `.bti` (binding-time interface) and `.gx`
 //!   (compiled genext) files, so that specialising a program needs *no
 //!   source code* for its libraries,
-//! * [`build`](crate::build) — an incremental, `make`-style driver over a directory of
-//!   `.mspec` files: modules are rebuilt only when their source or an
-//!   import's *interface* changed (§9's "analysed and tailored once and
-//!   for all").
+//! * [`build`](crate::build) — the builds: [`build_program`], the one
+//!   in-memory front end (typecheck, BTA and cogen per module in import
+//!   order, fault-isolated, then link), and an incremental, `make`-style
+//!   build of a directory of `.mspec` files: modules are
+//!   rebuilt only when their source or an import's *interface* changed
+//!   (§9's "analysed and tailored once and for all").
 
 pub mod build;
 pub mod compile;
 pub mod files;
 pub mod textual;
 
-pub use build::{build, build_traced, link_dir, link_dir_traced, BuildOptions, BuildReport};
+pub use build::{
+    build, build_program, build_traced, link_dir, link_dir_traced, BuildOptions, BuildReport,
+};
 pub use mspec_telemetry::ModuleOutcome;
 pub use compile::{compile_module, compile_program};
 pub use files::{

@@ -55,7 +55,7 @@ use mspec_core::{
 use mspec_lang::eval::with_big_stack;
 use mspec_lang::QualName;
 use mspec_serve::{parse_division, parse_values, ServeConfig, ServeKnob};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -353,23 +353,11 @@ fn build_pipeline(opts: &Opts) -> Result<Pipeline, String> {
 
 fn build_pipeline_traced(opts: &Opts, rec: &Recorder) -> Result<Pipeline, String> {
     let src = read_source(&opts.file)?;
-    if rec.is_enabled() {
-        // A traced run builds through the staged, fault-isolated driver,
-        // which records per-module spans. On a valid program it yields
-        // the same pipeline as the untraced whole-program build; on an
-        // invalid one the two report differently: the staged build
-        // aggregates every module's failure into one report, the
-        // whole-program build stops at the first error.
-        let program = {
-            let _span = rec.span("parse");
-            mspec_lang::parser::parse_program(&src).map_err(|e| e.to_string())?
-        };
-        Pipeline::from_program_traced(program, &opts.force_residual, rec)
-            .map(|(p, _)| p)
-            .map_err(|e| e.to_string())
-    } else {
-        Pipeline::from_source_with(&src, &opts.force_residual).map_err(|e| e.to_string())
-    }
+    let program = {
+        let _span = rec.span("parse");
+        mspec_lang::parser::parse_program(&src).map_err(|e| e.to_string())?
+    };
+    Pipeline::from_program_traced(program, &opts.force_residual, rec).map_err(|e| e.to_string())
 }
 
 fn build_cmd(args: &[String]) -> Result<(), String> {
@@ -511,8 +499,15 @@ fn cogen(args: &[String]) -> Result<(), String> {
         mspec_lang::parser::parse_program(&src).map_err(|e| e.to_string())?,
     )
     .map_err(|e| e.to_string())?;
+    // `cogen_module` sees only its imports' `.bti` and `.sig` files,
+    // which carry no types: typecheck each module here first.
+    let mut types = BTreeMap::new();
     for name in resolved.graph().topo_order() {
         let module = resolved.program().module(name.as_str()).unwrap();
+        types.insert(
+            *name,
+            mspec_types::infer_module(module, &types).map_err(|e| e.to_string())?,
+        );
         let forced: BTreeSet<mspec_lang::Ident> = opts
             .force_residual
             .iter()

@@ -1,11 +1,9 @@
 //! The unified error type of the pipeline.
 
-use crate::parbuild::BuildReport;
-use mspec_bta::BtaError;
+use mspec_cogen::BuildReport;
 use mspec_genext::SpecError;
 use mspec_lang::eval::EvalError;
 use mspec_lang::LangError;
-use mspec_types::TypeError;
 use std::error::Error;
 use std::fmt;
 
@@ -14,17 +12,15 @@ use std::fmt;
 pub enum PipelineError {
     /// Lexing, parsing, resolution or module-graph failure.
     Lang(LangError),
-    /// Type inference failure.
-    Type(TypeError),
-    /// Binding-time analysis failure.
-    Bta(BtaError),
     /// Specialisation failure.
     Spec(SpecError),
     /// Running a (source or residual) program failed.
     Eval(EvalError),
-    /// One or more modules failed (or panicked) during a fault-isolated
-    /// staged build; the report lists every failure, every module
-    /// skipped because an import failed, and everything that did build.
+    /// The front end ([`mspec_cogen::build_program`]) failed: a module's
+    /// typecheck, binding-time analysis or cogen failed or panicked, or
+    /// an override named no function. The report lists every failure,
+    /// every module skipped because an import failed, and everything
+    /// that did build.
     Build(Box<BuildReport>),
     /// A named entry function does not exist.
     NoSuchFunction {
@@ -39,8 +35,6 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Lang(e) => write!(f, "{e}"),
-            PipelineError::Type(e) => write!(f, "{e}"),
-            PipelineError::Bta(e) => write!(f, "{e}"),
             PipelineError::Spec(e) => write!(f, "{e}"),
             PipelineError::Eval(e) => write!(f, "{e}"),
             PipelineError::Build(report) => write!(f, "{report}"),
@@ -56,18 +50,6 @@ impl Error for PipelineError {}
 impl From<LangError> for PipelineError {
     fn from(e: LangError) -> Self {
         PipelineError::Lang(e)
-    }
-}
-
-impl From<TypeError> for PipelineError {
-    fn from(e: TypeError) -> Self {
-        PipelineError::Type(e)
-    }
-}
-
-impl From<BtaError> for PipelineError {
-    fn from(e: BtaError) -> Self {
-        PipelineError::Bta(e)
     }
 }
 

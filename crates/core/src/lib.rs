@@ -13,6 +13,10 @@
 //!    request (`mspec-genext`), yielding a *residual program* split into
 //!    modules derived from the source structure (§5).
 //!
+//! Steps 2–4 and the link run one module at a time, in import order,
+//! through the one front end every path shares,
+//! [`mspec_cogen::build_program`].
+//!
 //! # Quick start
 //!
 //! ```
@@ -36,7 +40,6 @@
 //! ```
 
 pub mod error;
-pub mod parbuild;
 pub mod pipeline;
 
 pub use error::PipelineError;
@@ -44,7 +47,6 @@ pub use mspec_bta::division::ParamBt;
 pub use mspec_genext::{
     BudgetResource, EngineOptions, OnExhaustion, SpecArg, SpecBudget, SpecStats, Strategy,
 };
-pub use parbuild::{module_levels, BuildReport, ModuleBuildError, StageTimes};
 pub use mspec_lang::vm::{Runner, VmOpt};
 pub use mspec_telemetry as telemetry;
 pub use mspec_telemetry::{ModuleOutcome, Recorder};

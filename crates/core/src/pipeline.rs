@@ -1,10 +1,8 @@
 //! The pipeline facade: source text to residual program.
 
 use crate::error::PipelineError;
-use crate::parbuild::{build_stages, StageTimes};
-use mspec_bta::analyse::analyse_program_with;
 use mspec_bta::AnnProgram;
-use mspec_cogen::compile::compile_program;
+use mspec_cogen::build_program;
 use mspec_genext::emit::FileSink;
 use mspec_genext::{Engine, EngineOptions, GenProgram, ResidualProgram, SpecArg, SpecStats};
 use mspec_lang::ast::{Program, QualName};
@@ -16,7 +14,7 @@ use mspec_lang::fuse::{fuse_chunks, FuseStats};
 use mspec_lang::resolve::{resolve, ResolvedProgram};
 use mspec_lang::vm::{bc_error, Runner, Vm, VmOpt};
 use mspec_telemetry::Recorder;
-use mspec_types::{infer_program, ProgramTypes};
+use mspec_types::ProgramTypes;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -38,7 +36,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Any parse, resolution, type or binding-time analysis error.
+    /// A parse or resolution error, or the [`PipelineError::Build`]
+    /// report of a module that failed to typecheck, analyse or cogen.
     pub fn from_source(src: &str) -> Result<Pipeline, PipelineError> {
         Pipeline::from_source_with(src, &BTreeSet::new())
     }
@@ -48,7 +47,8 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// As [`Pipeline::from_source`], plus unknown-override errors.
+    /// As [`Pipeline::from_source`]; an override naming no function
+    /// fails the build.
     pub fn from_source_with(
         src: &str,
         force_residual: &BTreeSet<QualName>,
@@ -74,33 +74,29 @@ impl Pipeline {
         program: Program,
         force_residual: &BTreeSet<QualName>,
     ) -> Result<Pipeline, PipelineError> {
-        let resolved = resolve(program)?;
-        let types = infer_program(&resolved)?;
-        let ann = analyse_program_with(&resolved, force_residual)?;
-        let gen = compile_program(&ann)?;
-        Ok(Pipeline { resolved, types, ann, gen })
+        Pipeline::from_program_traced(program, force_residual, &Recorder::disabled())
     }
 
-    /// Builds the pipeline with the staged, fault-isolated module driver
-    /// ([`crate::parbuild`]), reporting per-stage wall-times and
-    /// recording build telemetry: one `build` span, one span per level,
-    /// and per-module `build-module`/`typecheck`/`bta`/`cogen` spans.
+    /// [`Pipeline::from_program_with`] recording build telemetry: a
+    /// `resolve` span, then the spans and counters of the front end,
+    /// [`mspec_cogen::build_program`], which builds one module at a
+    /// time in import order.
     ///
     /// # Errors
     ///
-    /// As [`Pipeline::from_source_with`], except that module failures
-    /// are aggregated into one [`PipelineError::Build`] report.
+    /// As [`Pipeline::from_source_with`].
     pub fn from_program_traced(
         program: Program,
         force_residual: &BTreeSet<QualName>,
         rec: &Recorder,
-    ) -> Result<(Pipeline, StageTimes), PipelineError> {
+    ) -> Result<Pipeline, PipelineError> {
         let resolved = {
             let _span = rec.span("resolve");
             resolve(program)?
         };
-        let (types, ann, gen, times) = build_stages(&resolved, force_residual, rec)?;
-        Ok((Pipeline { resolved, types, ann, gen }, times))
+        let (types, ann, gen) = build_program(&resolved, force_residual, rec)
+            .map_err(|report| PipelineError::Build(Box::new(report)))?;
+        Ok(Pipeline { resolved, types, ann, gen })
     }
 
     /// The resolved source program.
@@ -437,11 +433,11 @@ impl Specialised {
         self.exec.status()
     }
 
-    /// Runs the residual program through the *compiled* evaluator
-    /// (slot-resolved), returning the result and the number of
-    /// evaluation steps it took — the residual-quality metric used by
-    /// the ablation experiments. Budget: [`DEFAULT_FUEL`], the same
-    /// constant every other runner shares.
+    /// Runs the residual program on the VM, returning the result and the
+    /// fuel it spent — the residual-quality metric of the ablation
+    /// experiments, identical to the tree evaluator's step count. Uses
+    /// the cached bytecode; budget: [`DEFAULT_FUEL`], the constant every
+    /// other runner shares.
     ///
     /// # Errors
     ///
@@ -461,10 +457,10 @@ impl Specialised {
         budget: u64,
     ) -> Result<(Value, u64), PipelineError> {
         let rp = self.exec.resolved(&self.residual)?;
-        let cp = mspec_lang::compile::compile_program(&rp);
-        let mut ev = mspec_lang::compile::CEvaluator::with_fuel(&cp, budget);
-        let v = ev.call_values(&self.residual.entry, dynamic_args)?;
-        Ok((v, budget - ev.fuel_left()))
+        let bc = self.exec.compiled(&rp)?;
+        let mut vm = Vm::with_fuel(&bc, budget);
+        let v = vm.call(&self.residual.entry, dynamic_args)?;
+        Ok((v, budget - vm.fuel_left()))
     }
 
     /// The residual program as concrete syntax.
@@ -675,6 +671,11 @@ mod tests {
         let (v, steps) = s.run_compiled(vec![Value::nat(3), Value::nat(2)]).unwrap();
         assert_eq!(v, Value::nat(8));
         assert!(steps > 0 && steps < DEFAULT_FUEL);
+        // The count is the tree evaluator's fuel spend.
+        let rp = resolve(s.residual.program.clone()).unwrap();
+        let mut tree = Evaluator::new(&rp);
+        tree.call(&s.residual.entry, vec![Value::nat(3), Value::nat(2)]).unwrap();
+        assert_eq!(steps, DEFAULT_FUEL - tree.fuel_left());
         // The explicit-budget variant breaches exactly below the spend.
         assert!(s
             .run_compiled_with(vec![Value::nat(3), Value::nat(2)], steps)

@@ -20,8 +20,6 @@
 //!   emit residual modules and to measure program sizes),
 //! * [`eval`] — a reference interpreter with a fuel limit, used to check
 //!   that specialisation preserves semantics,
-//! * [`compile`] — a slot-resolved compiled evaluator, used to *measure*
-//!   residual programs fairly (and run them fast),
 //! * [`bytecode`] / [`vm`] — the compiled fast path: closure conversion
 //!   to a flat instruction stream and an explicit-stack VM with no host
 //!   recursion, fuel-metered to the same totals as [`eval`]; the
@@ -56,7 +54,6 @@
 pub mod ast;
 pub mod builder;
 pub mod bytecode;
-pub mod compile;
 pub mod error;
 pub mod eval;
 pub mod fuse;

@@ -1,9 +1,8 @@
 //! Explicit-stack virtual machine over [`crate::bytecode`].
 //!
 //! The compiled fast path for running (residual) programs. Unlike the
-//! tree evaluator ([`crate::eval`], the semantic ground truth) and the
-//! slot-compiled evaluator ([`crate::compile`]), the VM keeps its call
-//! stack on the heap: object-language recursion never consumes host
+//! tree evaluator ([`crate::eval`], the semantic ground truth), the VM
+//! keeps its call stack on the heap: object-language recursion never consumes host
 //! stack, so deep residual programs (folds over 50k-element lists, long
 //! unfolded call chains) run without `with_big_stack` and without a
 //! depth limit.

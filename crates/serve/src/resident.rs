@@ -4,9 +4,10 @@
 //! specialise many times" — a daemon realises them only if the built
 //! artefacts actually survive between requests. Three caches do:
 //!
-//! * **programs** — inline source compiled through the full pipeline
-//!   (parse → resolve → infer → BTA → cogen), keyed by the FNV-1a hash
-//!   of the source text;
+//! * **programs** — inline source parsed, resolved and built by the
+//!   front end every path shares ([`mspec_cogen::build_program`]: per
+//!   module typecheck → BTA → cogen, then link), keyed by the FNV-1a
+//!   hash of the source text;
 //! * **artefact sets** — `.gx` directories linked with
 //!   [`mspec_cogen::link_dir`], keyed by directory path and
 //!   *revalidated on every reuse* against the directory's
@@ -46,12 +47,10 @@
 //! unreachable.
 
 use crate::proto::{parse_division, parse_values, ErrorClass, ErrorInfo, RunRequest, SpecRequest};
-use mspec_bta::analyse::analyse_program_with;
 use mspec_cache::{
     dir_identity, dir_source_key, inline_source_key, spec_key, CacheEntry, DiskCache,
 };
-use mspec_cogen::compile::compile_program;
-use mspec_cogen::{fnv64, link_dir, CogenError};
+use mspec_cogen::{build_program, fnv64, link_dir, CogenError};
 use mspec_genext::{
     CancelToken, Engine, EngineOptions, GenProgram, SpecBudget, SpecError, SpecStats,
 };
@@ -64,7 +63,6 @@ use mspec_lang::pretty::pretty_program;
 use mspec_lang::resolve::resolve;
 use mspec_lang::vm::{Vm, VmOpt};
 use mspec_telemetry::Recorder;
-use mspec_types::infer_program;
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::Hash;
@@ -514,8 +512,20 @@ impl Resident {
             return Ok(Arc::clone(gen));
         }
         let _span = rec.span("serve.compile");
-        let gen = build_inline(src)
-            .map_err(|msg| ErrorInfo::new(ErrorClass::Compile, msg))?;
+        let resolved = parse_program(src)
+            .and_then(resolve)
+            .map_err(|e| ErrorInfo::new(ErrorClass::Compile, e.to_string()))?;
+        let (_, _, gen) = build_program(&resolved, &BTreeSet::new(), rec).map_err(|report| {
+            // A panic in the front end is the daemon's fault, not the
+            // program's: re-raise it, so the request's containment
+            // answers `internal` and writes a crash dump.
+            for (_, e) in report.failed() {
+                if let CogenError::Panicked(msg) = e {
+                    std::panic::resume_unwind(Box::new(msg.clone()));
+                }
+            }
+            ErrorInfo::new(ErrorClass::Compile, report.to_string())
+        })?;
         let gen = Arc::new(gen);
         lock(&self.stats).programs_built += 1;
         let evicted = lock(&self.programs).insert(key, Arc::clone(&gen));
@@ -621,17 +631,6 @@ fn compile_residual(
         }
     };
     Ok(CompiledResidual { entry, bc: Arc::new(bc) })
-}
-
-/// The full sequential build pipeline, stage for stage the same calls
-/// as `mspec-core`'s `Pipeline::from_program_with` — which is what
-/// keeps daemon residuals byte-identical to `mspec spec` output.
-fn build_inline(src: &str) -> Result<GenProgram, String> {
-    let program = parse_program(src).map_err(|e| format!("parse: {e}"))?;
-    let resolved = resolve(program).map_err(|e| format!("resolve: {e}"))?;
-    infer_program(&resolved).map_err(|e| format!("types: {e}"))?;
-    let ann = analyse_program_with(&resolved, &BTreeSet::new()).map_err(|e| format!("bta: {e}"))?;
-    compile_program(&ann).map_err(|e| format!("cogen: {e}"))
 }
 
 fn spec_error_info(e: SpecError, stats: SpecStats) -> ErrorInfo {

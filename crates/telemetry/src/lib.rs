@@ -17,8 +17,7 @@
 //! Emitters live in [`emit`] (Chrome `trace_event` JSON + flat JSONL),
 //! the schema checker in [`validate`], the provenance replayer in
 //! [`explain`], the unified stats formatter in [`stats`], and the
-//! canonical build report shared by `core::parbuild` and `cogen` in
-//! [`report`].
+//! canonical build report of `cogen`'s builds in [`report`].
 
 pub mod emit;
 pub mod event;

@@ -1,9 +1,8 @@
-//! The canonical per-module build report, shared by `core::parbuild`
-//! (staged in-memory builds, where a failure is a typed
-//! `ModuleBuildError`) and `cogen::build` (incremental artefact builds,
-//! where modules can additionally be up to date on disk). Both crates
-//! re-export an alias of [`BuildReport`] instantiated at their own
-//! error type.
+//! The canonical per-module build report of both builds in
+//! `cogen::build`: the in-memory front end `build_program`, where a module
+//! builds, fails or is skipped, and the incremental artefact build,
+//! where a module can also be up to date on disk. `mspec-cogen`
+//! re-exports an alias of [`BuildReport`] at its error type.
 
 use mspec_lang::ModName;
 use std::fmt;

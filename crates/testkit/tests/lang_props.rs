@@ -1,13 +1,11 @@
 //! Language-level properties over randomly generated programs:
-//! pretty-print/parse round trips, and agreement between the reference
-//! interpreter and the compiled evaluator.
+//! pretty-print/parse round trips. (Agreement between the tree
+//! evaluator and the VM is `tests/vm_differential.rs`.)
 
-use mspec_lang::compile::{compile_program, CEvaluator};
-use mspec_lang::eval::Evaluator;
 use mspec_lang::parser::parse_program;
 use mspec_lang::pretty::pretty_program;
 use mspec_lang::resolve::resolve;
-use mspec_testkit::random::{random_program, random_value, GTy, GenConfig};
+use mspec_testkit::random::{random_program, GenConfig};
 use mspec_testkit::TestRng;
 
 fn roundtrip(seed: u64) {
@@ -21,36 +19,6 @@ fn roundtrip(seed: u64) {
     assert_eq!(a.program(), b.program(), "seed {seed}\n{printed}");
 }
 
-fn evaluators_agree(seed: u64) {
-    let g = random_program(&GenConfig { seed, ..GenConfig::default() });
-    let resolved = resolve(g.program.clone()).unwrap();
-    let compiled = compile_program(&resolved);
-    let mut rng = TestRng::seed_from_u64(seed.wrapping_mul(31));
-    for (q, params) in &g.functions {
-        if params.contains(&GTy::FunNat) {
-            continue;
-        }
-        let args: Vec<_> = params
-            .iter()
-            .map(|t| random_value(*t, &mut rng).expect("first-order"))
-            .collect();
-        let reference = {
-            let mut ev = Evaluator::new(&resolved);
-            ev.call(q, args.clone())
-        };
-        let fast = {
-            let mut ev = CEvaluator::new(&compiled);
-            ev.call_values(q, args)
-        };
-        match (&reference, &fast) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "seed {seed}, fn {q}"),
-            (Err(ea), Err(eb)) => assert_eq!(ea, eb, "seed {seed}, fn {q}"),
-            other => panic!("seed {seed}, fn {q}: evaluators disagree: {other:?}"),
-        }
-    }
-    let _ = rng.gen_range(0..2u32); // keep rng used even for empty programs
-}
-
 #[test]
 fn pretty_parse_roundtrip() {
     let mut rng = TestRng::seed_from_u64(0xA11CE);
@@ -60,17 +28,8 @@ fn pretty_parse_roundtrip() {
 }
 
 #[test]
-fn compiled_evaluator_agrees_with_reference() {
-    let mut rng = TestRng::seed_from_u64(0xB0B);
-    for _ in 0..64 {
-        evaluators_agree(rng.gen_range(0..10_000u64));
-    }
-}
-
-#[test]
 fn deterministic_sweeps() {
     for seed in 0..50 {
         roundtrip(seed);
-        evaluators_agree(seed);
     }
 }

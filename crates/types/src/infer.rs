@@ -33,7 +33,7 @@ impl ProgramTypes {
     }
 
     /// Records a function's scheme (used by drivers that infer modules
-    /// one at a time, e.g. the staged pipeline build).
+    /// one at a time, e.g. `mspec_cogen::build_program`).
     pub fn insert(&mut self, q: QualName, scheme: FnScheme) {
         self.schemes.insert(q, scheme);
     }

@@ -47,6 +47,6 @@ fn run() -> Result<(), PipelineError> {
 
     // Residual quality: steps per query, specialised vs unspecialised.
     let (_, fast_steps) = spec.run_compiled(vec![string(&[3, 1, 2, 1, 4])])?;
-    println!("\ncompiled-evaluator steps per query (pattern [1,2,1], text len 5): {fast_steps}");
+    println!("\nVM steps per query (pattern [1,2,1], text len 5): {fast_steps}");
     Ok(())
 }

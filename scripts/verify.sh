@@ -42,6 +42,34 @@ timeout 60 ./target/release/mspec trace-check target/telemetry/build-trace.json
 timeout 60 ./target/release/mspec trace-check target/telemetry/trace.json
 timeout 60 ./target/release/mspec trace-check target/telemetry/events.jsonl
 
+echo "==> ill-typed library smoke (one front end, typed artefact builds)"
+# Module B adds a boolean to a natural. The artefact build must refuse
+# it, and `spec` must report it identically with and without telemetry:
+# every path builds through the same front end.
+rm -rf target/ill-typed
+mkdir -p target/ill-typed/src
+printf 'module A where\na1 x = x + 1\n' > target/ill-typed/src/A.mspec
+printf 'module B where\nimport A\nb1 x = a1 x + (1 < 2)\n' > target/ill-typed/src/B.mspec
+if timeout 60 ./target/release/mspec build target/ill-typed/src --out target/ill-typed/gx \
+  > target/ill-typed/build.out 2> target/ill-typed/build.err; then
+  echo "mspec build accepted an ill-typed module"; exit 1
+fi
+grep -q 'type mismatch' target/ill-typed/build.err \
+  || { echo "mspec build did not report the type error"; exit 1; }
+cat target/ill-typed/src/A.mspec target/ill-typed/src/B.mspec > target/ill-typed/all.mspec
+if timeout 60 ./target/release/mspec spec target/ill-typed/all.mspec --entry B.b1 --args D \
+  2> target/ill-typed/spec.err; then
+  echo "mspec spec accepted an ill-typed module"; exit 1
+fi
+if timeout 60 ./target/release/mspec spec target/ill-typed/all.mspec --entry B.b1 --args D \
+  --metrics target/ill-typed/events.jsonl 2> target/ill-typed/spec-traced.err; then
+  echo "traced mspec spec accepted an ill-typed module"; exit 1
+fi
+grep -q 'type mismatch' target/ill-typed/spec.err \
+  || { echo "mspec spec did not report the type error"; exit 1; }
+cmp target/ill-typed/spec.err target/ill-typed/spec-traced.err \
+  || { echo "mspec spec reports the type error differently under --metrics"; exit 1; }
+
 echo "==> mspecd daemon smoke (TCP: spec + health + injected fault + shutdown)"
 # Start the daemon on an OS-assigned port with chaos (fault injection)
 # enabled and a telemetry trace, drive one of each request class

@@ -258,6 +258,26 @@ fn generalise_policy_is_inert_when_budgets_are_not_hit() {
     assert_eq!(fallback.stats.generalised, 0);
 }
 
+/// A program whose module `PanicLeaf` the debug-only
+/// `MSPEC_FAULT_PANIC_MODULE` hook panics in: `Solo` is independent of
+/// it, `Down` imports it. The hook matches by module name and no other
+/// test names a module `PanicLeaf`; every injecting test sets the same
+/// value and none clears it, so tests running concurrently never undo
+/// each other's injection.
+#[cfg(debug_assertions)]
+const PANIC_LEAF: &str = "module PanicLeaf where\n\
+    p1 x = x + 1\n\
+    module Solo where\n\
+    solo x = x * 2\n\
+    module Down where\n\
+    import PanicLeaf\n\
+    d x = p1 x\n";
+
+#[cfg(debug_assertions)]
+fn inject_panic_in_panic_leaf() {
+    std::env::set_var("MSPEC_FAULT_PANIC_MODULE", "PanicLeaf");
+}
+
 /// A panic injected inside one module's build (the
 /// `MSPEC_FAULT_PANIC_MODULE` hook) is isolated: the module is reported
 /// panicked, its dependent skipped and its independent sibling built,
@@ -266,31 +286,26 @@ fn generalise_policy_is_inert_when_budgets_are_not_hit() {
 #[cfg(debug_assertions)]
 #[test]
 fn injected_panic_yields_a_structured_build_report() {
-    use mspec_core::Recorder;
-    // `PanicLeaf` is unique to this test: the hook matches by module
-    // name, so concurrently running tests are unaffected.
-    const SRC: &str = "module PanicLeaf where\n\
-        p1 x = x + 1\n\
-        module Solo where\n\
-        solo x = x * 2\n\
-        module Down where\n\
-        import PanicLeaf\n\
-        d x = p1 x\n";
-    std::env::set_var("MSPEC_FAULT_PANIC_MODULE", "PanicLeaf");
+    use mspec_core::{ModuleOutcome, Recorder};
+    inject_panic_in_panic_leaf();
     let err = Pipeline::from_program_traced(
-        parse_program(SRC).unwrap(),
+        parse_program(PANIC_LEAF).unwrap(),
         &BTreeSet::new(),
         &Recorder::disabled(),
     )
     .map(|_| ())
     .expect_err("the injected panic must fail the build");
-    std::env::remove_var("MSPEC_FAULT_PANIC_MODULE");
     let PipelineError::Build(report) = &err else {
         panic!("expected a structured build report, got {err:?}");
     };
+    assert!(
+        matches!(report.outcome("PanicLeaf"), Some(ModuleOutcome::Failed(CogenError::Panicked(_)))),
+        "{report}"
+    );
+    assert_eq!(report.outcome("Solo"), Some(&ModuleOutcome::Built), "{report}");
+    assert!(matches!(report.outcome("Down"), Some(ModuleOutcome::Skipped { .. })), "{report}");
     let text = report.to_string();
     assert!(text.contains("injected fault in PanicLeaf"), "{text}");
-    assert!(text.contains("Down"), "dependent must be reported: {text}");
 }
 
 /// Persistent residual cache under corruption: torn, truncated,
@@ -472,13 +487,13 @@ fn daemon_survives_the_chaos_matrix() {
         e
     };
 
+    // Crash dumps of the contained panics, counted at the end.
+    let crashes = tmpdir("chaos-crashes");
     let server = Server::new(
         ServeConfig {
             chaos: true,
             workers: 2,
-            // Keep the contained panic's crash dump out of the crate
-            // directory (the default crash dir is the cwd).
-            crash_dir: Some(std::env::temp_dir().to_string_lossy().into_owned()),
+            crash_dir: Some(crashes.to_string_lossy().into_owned()),
             ..ServeConfig::default()
         },
         Recorder::disabled(),
@@ -567,6 +582,21 @@ fn daemon_survives_the_chaos_matrix() {
     assert_eq!(resp.id, 11);
     assert!(matches!(resp.body, ResponseBody::Error(_)), "{resp:?}");
 
+    // 10. A panic in an inline program's front end (the debug-only
+    // `MSPEC_FAULT_PANIC_MODULE` hook) is the daemon's fault, not the
+    // program's: contained like any panic, a retryable `internal`
+    // answer and a crash dump, never a `compile` error.
+    #[cfg(debug_assertions)]
+    {
+        inject_panic_in_panic_leaf();
+        let resp = c.roundtrip(&Request {
+            id: 12,
+            kind: RequestKind::Spec(SpecRequest::inline(PANIC_LEAF, "Down.d", "D")),
+        });
+        let e = assert_error(resp, ErrorClass::Internal);
+        assert!(e.retryable, "panics are retryable: the server is still up");
+    }
+
     // After the whole matrix: the surviving connection still works...
     assert_spec_ok(c.roundtrip(&spec_req(9, 4)), 9);
     // ...and so does a brand-new one.
@@ -576,6 +606,13 @@ fn daemon_survives_the_chaos_matrix() {
     server.shutdown();
     handle.join();
     let stats = server.stats();
-    assert_eq!(stats.panics, 1, "{stats:?}");
+    let panics = if cfg!(debug_assertions) { 2 } else { 1 };
+    assert_eq!(stats.panics, panics, "{stats:?}");
     assert!(stats.bad_frames >= 3, "{stats:?}");
+    let dumps = fs::read_dir(&crashes)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with("crash-"))
+        .count();
+    assert_eq!(dumps as u64, panics, "one crash dump per contained panic");
+    let _ = fs::remove_dir_all(&crashes);
 }

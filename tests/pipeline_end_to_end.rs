@@ -1,7 +1,8 @@
 //! End-to-end pipeline coverage beyond the paper's worked examples:
 //! a first-Futamura-projection interpreter workload, multi-module list
-//! libraries, strategy equivalence, baseline agreement, and the file
-//! emission round trip.
+//! libraries, strategy equivalence, baseline agreement, the file
+//! emission round trip, and one answer from every front end (library,
+//! CLI, daemon, artefact builds) on an ill-typed program.
 
 use std::collections::BTreeSet;
 
@@ -445,4 +446,120 @@ fn residual_programs_re_enter_the_pipeline() {
         )
         .unwrap();
     assert_eq!(s2.run(vec![Value::nat(3)]).unwrap(), Value::nat(81));
+}
+
+/// Three modules: `B` adds a boolean to a natural, `C` imports `B`.
+const ILL_TYPED: [(&str, &str); 3] = [
+    ("A", "module A where\na1 x = x + 1\n"),
+    ("B", "module B where\nimport A\nb1 x = a1 x + (1 < 2)\n"),
+    ("C", "module C where\nimport B\nc1 x = b1 x\n"),
+];
+
+/// A fresh temporary directory for one test, as a string path.
+fn temp_dir(tag: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("mspec-e2e-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.to_str().unwrap().to_string()
+}
+
+/// Writes `modules` to `dir` as one source file, returning its path.
+fn write_program(dir: &str, modules: &[(&str, &str)]) -> String {
+    let file = format!("{dir}/all.mspec");
+    std::fs::write(&file, modules.iter().map(|(_, src)| *src).collect::<String>()).unwrap();
+    file
+}
+
+/// Runs the `mspec` binary, returning (success, stdout, stderr).
+fn mspec(args: &[&str]) -> (bool, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mspec")).args(args).output().unwrap();
+    let text = |b: Vec<u8>| String::from_utf8(b).unwrap();
+    (out.status.success(), text(out.stdout), text(out.stderr))
+}
+
+/// The error a failing `mspec` command prints, without its prefix.
+fn mspec_error(args: &[&str]) -> String {
+    let (ok, _, stderr) = mspec(args);
+    assert!(!ok, "expected failure: {stderr}");
+    let line = stderr.trim_end();
+    line.strip_prefix("mspec: ").unwrap_or(line).to_string()
+}
+
+/// Every front end builds through `build_program`, so an ill-typed import
+/// gets one answer: `mspec check`, `mspec spec` with and without
+/// telemetry, and a daemon inline `spec` (class `compile`).
+#[test]
+fn every_front_end_reports_an_ill_typed_import_alike() {
+    let dir = temp_dir("ill-typed-text");
+    let file = write_program(&dir, &ILL_TYPED);
+    let log = format!("{dir}/events.jsonl");
+    let want = "staged build: 1 failed, 1 skipped, 1 built; \
+                B: type mismatch in B.b1: expected Bool, found Nat; \
+                C: skipped (import B did not build)";
+    let spec = ["spec", &file, "--entry", "C.c1", "--args", "D"];
+    assert_eq!(mspec_error(&["check", &file]), want);
+    assert_eq!(mspec_error(&spec), want);
+    assert_eq!(mspec_error(&[&spec[..], &["--metrics", &log]].concat()), want);
+
+    let source: String = ILL_TYPED.iter().map(|(_, src)| *src).collect();
+    let e = mspec_serve::Resident::new()
+        .execute_spec(
+            &mspec_serve::SpecRequest::inline(&source, "C.c1", "D"),
+            mspec_genext::CancelToken::new(),
+            &mspec_core::Recorder::disabled(),
+        )
+        .unwrap_err();
+    assert_eq!(e.class, mspec_serve::ErrorClass::Compile);
+    assert_eq!(e.message, want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both artefact writers typecheck before analysing: `cogen::build` and
+/// `mspec cogen` refuse the ill-typed module with a type error naming
+/// `B.b1`, and no residual can be linked from what they left.
+#[test]
+fn artefact_builds_refuse_an_ill_typed_module() {
+    let dir = temp_dir("ill-typed-artefacts");
+    let src = format!("{dir}/src");
+    std::fs::create_dir_all(&src).unwrap();
+    for (name, text) in ILL_TYPED {
+        std::fs::write(format!("{src}/{name}.mspec"), text).unwrap();
+    }
+    let built = format!("{dir}/built");
+    let err = mspec_cogen::build(&src, &built, &mspec_cogen::BuildOptions::default()).unwrap_err();
+    assert!(matches!(err, mspec_cogen::CogenError::Type(_)), "{err}");
+    assert!(err.to_string().contains("type mismatch in B.b1"), "{err}");
+    let (ok, _, stderr) = mspec(&["build", &src, "--out", &built]);
+    assert!(!ok && stderr.contains("type mismatch in B.b1"), "{stderr}");
+
+    let file = write_program(&dir, &ILL_TYPED);
+    let cogen = format!("{dir}/cogen");
+    let err = mspec_error(&["cogen", &file, "--out", &cogen]);
+    assert!(err.contains("type mismatch in B.b1"), "{err}");
+
+    for out in [&built, &cogen] {
+        let (ok, stdout, _) = mspec(&["link-spec", out, "--entry", "C.c1", "--args", "D"]);
+        assert!(!ok, "a residual was linked from {out}: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `mspec analyse` lists modules in topological order, the order the
+/// front end builds them: `B` (importing `A`) before the independent `C`.
+#[test]
+fn analyse_lists_modules_in_import_order() {
+    let dir = temp_dir("analyse-order");
+    let file = write_program(
+        &dir,
+        &[
+            ("A", "module A where\na1 x = x + 1\n"),
+            ("B", "module B where\nimport A\nb1 x = a1 x * 2\n"),
+            ("C", "module C where\nc1 x = x\n"),
+        ],
+    );
+    let (ok, stdout, stderr) = mspec(&["analyse", &file]);
+    assert!(ok, "{stderr}");
+    let modules: Vec<&str> = stdout.lines().filter(|l| l.starts_with("-- module ")).collect();
+    assert_eq!(modules, ["-- module A", "-- module B", "-- module C"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

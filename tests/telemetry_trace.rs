@@ -43,7 +43,7 @@ fn traced_power_run() -> Snapshot {
     let rec = Recorder::enabled();
     let forced: BTreeSet<QualName> = [QualName::new("Power", "power")].into();
     let program = parse_program(POWER).unwrap();
-    let (p, _times) = Pipeline::from_program_traced(program, &forced, &rec).unwrap();
+    let p = Pipeline::from_program_traced(program, &forced, &rec).unwrap();
     let s = p
         .specialise_traced(
             "Power",
@@ -97,7 +97,7 @@ fn library_trace_is_deterministic() {
     let run = || {
         let rec = Recorder::enabled();
         let (program, entry) = library_program(&shape);
-        let (p, _) = Pipeline::from_program_traced(program, &BTreeSet::new(), &rec).unwrap();
+        let p = Pipeline::from_program_traced(program, &BTreeSet::new(), &rec).unwrap();
         p.specialise_traced(
             entry.module.as_str(),
             entry.name.as_str(),
@@ -236,7 +236,7 @@ fn explain_reconstructs_power_chain() {
 fn explain_interpreter_example() {
     let rec = Recorder::enabled();
     let program = parse_program(INTERP).unwrap();
-    let (p, _) = Pipeline::from_program_traced(program, &BTreeSet::new(), &rec).unwrap();
+    let p = Pipeline::from_program_traced(program, &BTreeSet::new(), &rec).unwrap();
     p.specialise_traced(
         "Interp",
         "run",
@@ -264,7 +264,7 @@ fn explain_interpreter_example() {
 fn disabled_recorder_emits_nothing() {
     let rec = Recorder::disabled();
     let program = parse_program(POWER).unwrap();
-    let (p, _) = Pipeline::from_program_traced(program, &BTreeSet::new(), &rec).unwrap();
+    let p = Pipeline::from_program_traced(program, &BTreeSet::new(), &rec).unwrap();
     p.specialise_traced(
         "Power",
         "power",
