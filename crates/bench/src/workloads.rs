@@ -1,6 +1,6 @@
 //! The benchmark workloads.
 
-use mspec_core::{Pipeline, SpecArg};
+use mspec_core::Pipeline;
 use mspec_lang::eval::Value;
 use mspec_testkit::{library_program, LibraryShape};
 
@@ -54,9 +54,4 @@ pub fn library_source(modules: usize, fns_per_module: usize) -> (String, Library
 pub fn prepared_library(modules: usize, fns_per_module: usize) -> Pipeline {
     let (src, _) = library_source(modules, fns_per_module);
     Pipeline::from_source(&src).expect("library workload is well-formed")
-}
-
-/// The standard specialisation request for library workloads.
-pub fn library_args() -> Vec<SpecArg> {
-    vec![SpecArg::Dynamic]
 }

@@ -75,12 +75,12 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     match cmd.as_str() {
         "check" => check(&args[1..]),
-        "build" => build_cmd(&args[1..]),
-        "link-spec" => link_spec(&args[1..]),
+        "build" => with_telemetry(&args[1..], build_cmd),
+        "link-spec" => with_telemetry(&args[1..], link_spec),
         "analyse" => analyse(&args[1..]),
         "cogen" => cogen(&args[1..]),
-        "spec" => spec(&args[1..]),
-        "mix" => mix_cmd(&args[1..]),
+        "spec" => with_telemetry(&args[1..], spec),
+        "mix" => with_telemetry(&args[1..], mix_cmd),
         "run" => run_program(&args[1..]),
         "explain" => explain_cmd(&args[1..]),
         "trace-check" => trace_check_cmd(&args[1..]),
@@ -178,15 +178,10 @@ impl Opts {
         EngineOptions { strategy: self.strategy, budget, on_exhaustion: self.on_exhaustion }
     }
 
-    /// The run's persistent residual cache: `--cache-dir`, then the
-    /// `MSPEC_CACHE_DIR` environment variable; `Ok(None)` when neither
-    /// is set.
+    /// The run's persistent residual cache (see [`cache_dir`]);
+    /// `Ok(None)` when no directory is configured.
     fn disk_cache(&self) -> Result<Option<mspec_cache::DiskCache>, String> {
-        let dir = self
-            .cache_dir
-            .clone()
-            .or_else(|| std::env::var(mspec_cache::CACHE_DIR_ENV).ok());
-        let Some(dir) = dir else { return Ok(None) };
+        let Some(dir) = cache_dir(self.cache_dir.clone()) else { return Ok(None) };
         mspec_cache::DiskCache::open(&dir)
             .map(Some)
             .map_err(|e| format!("cannot open cache dir {dir}: {e}"))
@@ -202,25 +197,109 @@ impl Opts {
         }
     }
 
-    /// Drains the recorder and writes the requested trace/metrics files,
-    /// plus a one-paragraph summary on stderr.
-    fn finish_telemetry(&self, rec: &Recorder) -> Result<(), String> {
+    /// Drains the recorder and writes the requested trace/metrics files
+    /// whatever the command's `outcome`. A successful run then reports
+    /// the files and a one-paragraph summary on stderr; a failed run
+    /// prints nothing more, so its one-line error reads the same with
+    /// and without telemetry.
+    fn finish_telemetry(&self, rec: &Recorder, outcome: Result<(), String>) -> Result<(), String> {
         if !rec.is_enabled() {
-            return Ok(());
+            return outcome;
         }
         let snap = rec.snapshot();
-        if let Some(path) = &self.trace {
-            std::fs::write(path, snap.to_chrome().write_compact())
-                .map_err(|e| format!("cannot write trace {path}: {e}"))?;
-            eprintln!("wrote trace {path}");
-        }
-        if let Some(path) = &self.metrics {
-            std::fs::write(path, snap.to_jsonl())
-                .map_err(|e| format!("cannot write metrics {path}: {e}"))?;
-            eprintln!("wrote metrics {path}");
-        }
+        let report = outcome.is_ok();
+        let written = (|| -> Result<(), String> {
+            if let Some(path) = &self.trace {
+                std::fs::write(path, snap.to_chrome().write_compact())
+                    .map_err(|e| format!("cannot write trace {path}: {e}"))?;
+                if report {
+                    eprintln!("wrote trace {path}");
+                }
+            }
+            if let Some(path) = &self.metrics {
+                std::fs::write(path, snap.to_jsonl())
+                    .map_err(|e| format!("cannot write metrics {path}: {e}"))?;
+                if report {
+                    eprintln!("wrote metrics {path}");
+                }
+            }
+            Ok(())
+        })();
+        outcome.and(written)?;
         eprint!("{}", snap.summary());
         Ok(())
+    }
+}
+
+/// Runs a command that accepts `--trace`/`--metrics`, writing the
+/// requested files on every exit, failed runs included.
+fn with_telemetry(
+    args: &[String],
+    cmd: impl FnOnce(&Opts, &Recorder) -> Result<(), String>,
+) -> Result<(), String> {
+    let opts = parse_opts(args)?;
+    let rec = opts.recorder();
+    let outcome = cmd(&opts, &rec);
+    opts.finish_telemetry(&rec, outcome)
+}
+
+/// The persistent residual cache directory: the `--cache-dir` value,
+/// then the `MSPEC_CACHE_DIR` environment variable.
+fn cache_dir(flag: Option<String>) -> Option<String> {
+    flag.or_else(|| std::env::var(mspec_cache::CACHE_DIR_ENV).ok())
+}
+
+/// One `spec`/`link-spec` request's slot in the persistent residual
+/// cache.
+struct ResidualCache {
+    cache: mspec_cache::DiskCache,
+    key: String,
+}
+
+impl ResidualCache {
+    /// Opens the run's cache and keys the request on the program's
+    /// `source_key` (computed only when a cache is configured) plus
+    /// every flag that shapes the residual; `Ok(None)` without a cache.
+    fn open(
+        opts: &Opts,
+        entry: &str,
+        division: &str,
+        source_key: impl FnOnce() -> Result<String, String>,
+    ) -> Result<Option<ResidualCache>, String> {
+        let Some(cache) = opts.disk_cache()? else { return Ok(None) };
+        let key = mspec_cache::spec_key(
+            &source_key()?,
+            entry,
+            division,
+            opts.fuel,
+            opts.max_spec,
+            opts.on_exhaustion,
+            opts.strategy,
+        );
+        Ok(Some(ResidualCache { cache, key }))
+    }
+
+    /// Prints a stored residual as a fresh run would, plus the hit
+    /// report; `false` on a miss.
+    fn serve(&self) -> bool {
+        let Some(hit) = self.cache.get(&self.key) else { return false };
+        println!("{}", hit.residual);
+        eprintln!("{}", hit.stats.summary(hit.entry.clone()));
+        eprintln!(
+            "cache hit: residual served from {} (0 engine steps this run)",
+            self.cache.root().display()
+        );
+        true
+    }
+
+    /// Stores a fresh run's residual under the request's key; a failed
+    /// store is a warning, never an error.
+    fn store(&self, entry: String, residual: String, stats: mspec_core::SpecStats) {
+        let entry = mspec_cache::CacheEntry { key: self.key.clone(), entry, residual, stats };
+        match self.cache.put(&entry) {
+            Ok(path) => eprintln!("cached residual at {}", path.display()),
+            Err(e) => eprintln!("warning: could not store cache entry: {e}"),
+        }
     }
 }
 
@@ -360,8 +439,7 @@ fn build_pipeline_traced(opts: &Opts, rec: &Recorder) -> Result<Pipeline, String
     Pipeline::from_program_traced(program, &opts.force_residual, rec).map_err(|e| e.to_string())
 }
 
-fn build_cmd(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn build_cmd(opts: &Opts, rec: &Recorder) -> Result<(), String> {
     let out = opts.out.as_deref().ok_or("build needs --out DIR")?;
     let mut bopts = mspec_cogen::build::BuildOptions::default();
     for q in &opts.force_residual {
@@ -371,8 +449,7 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
             .or_default()
             .insert(q.name);
     }
-    let rec = opts.recorder();
-    let report = mspec_cogen::build::build_traced(&opts.file, out, &bopts, &rec)
+    let report = mspec_cogen::build::build_traced(&opts.file, out, &bopts, rec)
         .map_err(|e| e.to_string())?;
     for (name, outcome) in &report.outcomes {
         println!(
@@ -388,15 +465,13 @@ fn build_cmd(args: &[String]) -> Result<(), String> {
         );
     }
     println!("{} rebuilt, {} up to date", report.rebuilt(), report.up_to_date());
-    opts.finish_telemetry(&rec)
+    Ok(())
 }
 
-fn link_spec(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn link_spec(opts: &Opts, rec: &Recorder) -> Result<(), String> {
     let (m, f) = opts.entry.clone().ok_or("link-spec needs --entry M.f")?;
     let division = opts.args.clone().ok_or("link-spec needs --args DIVISION")?;
     let spec_args = parse_division(&division)?;
-    let rec = opts.recorder();
     // Persistent residual cache. The key embeds the directory's current
     // identity, the checksums of all its `.bti` and `.gx` files —
     // recomputing it from disk *is* the staleness check (the same
@@ -404,36 +479,14 @@ fn link_spec(args: &[String]) -> Result<(), String> {
     // genext simply misses and re-links. It is taken before linking,
     // so a rebuild racing this run can never key old genexts' residual
     // under the new identity.
-    let cache = opts.disk_cache()?;
-    let key = cache.as_ref().map(|_| {
-        mspec_cache::spec_key(
-            &mspec_cache::dir_source_key(
-                &opts.file,
-                mspec_cache::dir_identity(&opts.file),
-            ),
-            &format!("{m}.{f}"),
-            &division,
-            opts.fuel,
-            opts.max_spec,
-            opts.on_exhaustion,
-            opts.strategy,
-        )
-    });
-    if opts.out.is_none() {
-        if let (Some(c), Some(k)) = (&cache, &key) {
-            if let Some(hit) = c.get(k) {
-                println!("{}", hit.residual);
-                eprintln!("{}", hit.stats.summary(hit.entry.clone()));
-                eprintln!(
-                    "cache hit: residual served from {} (0 engine steps this run)",
-                    c.root().display()
-                );
-                return opts.finish_telemetry(&rec);
-            }
-        }
+    let cache = ResidualCache::open(opts, &format!("{m}.{f}"), &division, || {
+        Ok(mspec_cache::dir_source_key(&opts.file, mspec_cache::dir_identity(&opts.file)))
+    })?;
+    if opts.out.is_none() && cache.as_ref().is_some_and(ResidualCache::serve) {
+        return Ok(());
     }
     let linked =
-        mspec_cogen::build::link_dir_traced(&opts.file, &rec).map_err(|e| e.to_string())?;
+        mspec_cogen::build::link_dir_traced(&opts.file, rec).map_err(|e| e.to_string())?;
     let entry = QualName::new(m.as_str(), f.as_str());
     let mut engine =
         mspec_genext::Engine::with_recorder(&linked, opts.engine_options(), rec.clone());
@@ -452,19 +505,10 @@ fn link_spec(args: &[String]) -> Result<(), String> {
             eprintln!("wrote {}", f.display());
         }
     }
-    if let (Some(c), Some(k)) = (&cache, &key) {
-        let entry = mspec_cache::CacheEntry {
-            key: k.clone(),
-            entry: residual.entry.to_string(),
-            residual: residual_text,
-            stats,
-        };
-        match c.put(&entry) {
-            Ok(path) => eprintln!("cached residual at {}", path.display()),
-            Err(e) => eprintln!("warning: could not store cache entry: {e}"),
-        }
+    if let Some(c) = &cache {
+        c.store(residual.entry.to_string(), residual_text, stats);
     }
-    opts.finish_telemetry(&rec)
+    Ok(())
 }
 
 fn check(args: &[String]) -> Result<(), String> {
@@ -522,51 +566,28 @@ fn cogen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn spec(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn spec(opts: &Opts, rec: &Recorder) -> Result<(), String> {
     let (m, f) = opts.entry.clone().ok_or("spec needs --entry M.f")?;
     let division = opts.args.clone().ok_or("spec needs --args DIVISION")?;
     let spec_args = parse_division(&division)?;
-    let rec = opts.recorder();
     // Persistent residual cache, probed before the pipeline is even
     // built: a warm run skips parse, BTA, cogen *and* the engine.
     // `--force-residual` perturbs the residual without being part of
     // the shared key (the daemon has no such knob), and `--out` needs
     // the typed residual — both opt out.
     let cache = if opts.force_residual.is_empty() && opts.out.is_none() {
-        opts.disk_cache()?
+        ResidualCache::open(opts, &format!("{m}.{f}"), &division, || {
+            Ok(mspec_cache::inline_source_key(&read_source(&opts.file)?))
+        })?
     } else {
         None
     };
-    let key = match &cache {
-        Some(_) => {
-            let src = read_source(&opts.file)?;
-            Some(mspec_cache::spec_key(
-                &mspec_cache::inline_source_key(&src),
-                &format!("{m}.{f}"),
-                &division,
-                opts.fuel,
-                opts.max_spec,
-                opts.on_exhaustion,
-                opts.strategy,
-            ))
-        }
-        None => None,
-    };
-    if let (Some(c), Some(k)) = (&cache, &key) {
-        if let Some(hit) = c.get(k) {
-            println!("{}", hit.residual);
-            eprintln!("{}", hit.stats.summary(hit.entry.clone()));
-            eprintln!(
-                "cache hit: residual served from {} (0 engine steps this run)",
-                c.root().display()
-            );
-            return opts.finish_telemetry(&rec);
-        }
+    if cache.as_ref().is_some_and(ResidualCache::serve) {
+        return Ok(());
     }
-    let pipeline = build_pipeline_traced(&opts, &rec)?;
+    let pipeline = build_pipeline_traced(opts, rec)?;
     let spec = pipeline
-        .specialise_traced(&m, &f, spec_args, opts.engine_options(), &rec)
+        .specialise_traced(&m, &f, spec_args, opts.engine_options(), rec)
         .map_err(|e| e.to_string())?;
     println!("{}", spec.source());
     eprintln!("{}", spec.stats.summary(spec.residual.entry.to_string()));
@@ -577,31 +598,20 @@ fn spec(args: &[String]) -> Result<(), String> {
             eprintln!("wrote {}", f.display());
         }
     }
-    if let (Some(c), Some(k)) = (&cache, &key) {
-        let entry = mspec_cache::CacheEntry {
-            key: k.clone(),
-            entry: spec.residual.entry.to_string(),
-            residual: spec.source().to_string(),
-            stats: spec.stats,
-        };
-        match c.put(&entry) {
-            Ok(path) => eprintln!("cached residual at {}", path.display()),
-            Err(e) => eprintln!("warning: could not store cache entry: {e}"),
-        }
+    if let Some(c) = &cache {
+        c.store(spec.residual.entry.to_string(), spec.source().to_string(), spec.stats);
     }
-    opts.finish_telemetry(&rec)
+    Ok(())
 }
 
-fn mix_cmd(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args)?;
+fn mix_cmd(opts: &Opts, rec: &Recorder) -> Result<(), String> {
     let (m, f) = opts.entry.clone().ok_or("mix needs --entry M.f")?;
     let division = opts.args.clone().ok_or("mix needs --args DIVISION")?;
     let spec_args = parse_division(&division)?;
     let src = read_source(&opts.file)?;
-    let rec = opts.recorder();
     let mix_opts =
         mspec_mix::MixOptions { budget: opts.engine_options().budget, ..Default::default() };
-    let outcome = mspec_mix::mix_specialise_traced(&src, &m, &f, spec_args, mix_opts, &rec)
+    let outcome = mspec_mix::mix_specialise_traced(&src, &m, &f, spec_args, mix_opts, rec)
         .map_err(|e| e.to_string())?;
     println!("{}", mspec_lang::pretty::pretty_program(&outcome.residual.program));
     eprintln!("{}", outcome.stats.summary(outcome.residual.entry.to_string()));
@@ -611,7 +621,7 @@ fn mix_cmd(args: &[String]) -> Result<(), String> {
             eprintln!("wrote {}", f.display());
         }
     }
-    opts.finish_telemetry(&rec)
+    Ok(())
 }
 
 fn explain_cmd(args: &[String]) -> Result<(), String> {
@@ -684,9 +694,7 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
             other => return Err(format!("cache gc: unknown option `{other}`")),
         }
     }
-    let dir = dir
-        .or_else(|| std::env::var(mspec_cache::CACHE_DIR_ENV).ok())
-        .ok_or("cache gc needs --cache-dir DIR (or MSPEC_CACHE_DIR)")?;
+    let dir = cache_dir(dir).ok_or("cache gc needs --cache-dir DIR (or MSPEC_CACHE_DIR)")?;
     let cache = mspec_cache::DiskCache::open(&dir)
         .map_err(|e| format!("cannot open cache dir {dir}: {e}"))?;
     let r = cache
@@ -775,11 +783,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         pinned.push(knob);
     }
     cfg.apply_env(&pinned).map_err(|e| e.to_string())?;
-    if cfg.cache_dir.is_none() {
-        if let Ok(v) = std::env::var(mspec_cache::CACHE_DIR_ENV) {
-            cfg.cache_dir = Some(v);
-        }
-    }
+    cfg.cache_dir = cache_dir(cfg.cache_dir.take());
     // Validate the cache directory up front so a bad path is a startup
     // error, not a silently cold daemon.
     if let Some(dir) = &cfg.cache_dir {

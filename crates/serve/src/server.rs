@@ -13,8 +13,8 @@
 //! * `health`/`stats`/`shutdown` are answered inline on the connection
 //!   thread — they must keep working while the worker pool is saturated
 //!   (that is the point of a health endpoint).
-//! * `spec`/`fault` go through admission: the request's fuel budget is
-//!   reserved from the connection's fuel account (refused
+//! * `spec`/`run`/`fault` go through admission: the request's fuel
+//!   budget is reserved from the connection's fuel account (refused
 //!   `budget-denied` if it does not fit), then the job enters the
 //!   bounded queue (refused `overloaded` if full — load shedding).
 //!   Unused fuel is refunded after the run; a panicked request forfeits
@@ -110,6 +110,16 @@ enum JobKind {
     Spec(SpecRequest),
     Run(RunRequest),
     Fault,
+}
+
+impl JobKind {
+    fn name(&self) -> &'static str {
+        match self {
+            JobKind::Spec(_) => "spec",
+            JobKind::Run(_) => "run",
+            JobKind::Fault => "fault",
+        }
+    }
 }
 
 struct Job {
@@ -621,63 +631,35 @@ fn handle_frame(
                 );
                 return;
             }
-            let rid = request_trace_id(conn, req.id);
-            admit(state, req.id, rid, conn, JobKind::Fault, 0, None, writer, account);
+            admit(state, req.id, conn, JobKind::Fault, writer, account);
         }
-        RequestKind::Spec(spec) => {
-            let reserve = spec.fuel.unwrap_or(SpecBudget::default().steps);
-            let deadline_ms = spec.deadline_ms.unwrap_or(state.cfg.deadline_ms);
-            let rid = request_trace_id(conn, req.id);
-            admit(
-                state,
-                req.id,
-                rid,
-                conn,
-                JobKind::Spec(spec),
-                reserve,
-                Some(deadline_ms.min(state.cfg.deadline_ms)),
-                writer,
-                account,
-            );
-        }
-        RequestKind::Run(run) => {
-            // Same admission economics as `spec`: the specialisation
-            // stage's fuel is reserved (the residual's own execution is
-            // bounded by `run_fuel`, not by the connection account).
-            let reserve = run.spec.fuel.unwrap_or(SpecBudget::default().steps);
-            let deadline_ms = run.spec.deadline_ms.unwrap_or(state.cfg.deadline_ms);
-            let rid = request_trace_id(conn, req.id);
-            admit(
-                state,
-                req.id,
-                rid,
-                conn,
-                JobKind::Run(run),
-                reserve,
-                Some(deadline_ms.min(state.cfg.deadline_ms)),
-                writer,
-                account,
-            );
-        }
+        RequestKind::Spec(spec) => admit(state, req.id, conn, JobKind::Spec(spec), writer, account),
+        RequestKind::Run(run) => admit(state, req.id, conn, JobKind::Run(run), writer, account),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Admission control: reserves the job's fuel from the connection
+/// account, then queues it (or sheds it when the queue is full).
 fn admit(
     state: &Arc<State>,
     id: u64,
-    req: u64,
     conn: u64,
     kind: JobKind,
-    reserve: u64,
-    deadline_ms: Option<u64>,
     writer: &SharedWriter,
     account: &Arc<AtomicU64>,
 ) {
-    let kind_name = match kind {
-        JobKind::Spec(_) => "spec",
-        JobKind::Run(_) => "run",
-        JobKind::Fault => "fault",
+    let req = request_trace_id(conn, id);
+    let kind_name = kind.name();
+    // `spec` and `run` reserve the specialisation stage's fuel (a
+    // residual's own execution is bounded by `run_fuel`, not by the
+    // connection account) and may shorten, never lengthen, the
+    // server's deadline.
+    let (reserve, deadline_ms) = match &kind {
+        JobKind::Spec(spec) | JobKind::Run(RunRequest { spec, .. }) => (
+            spec.fuel.unwrap_or(SpecBudget::default().steps),
+            spec.deadline_ms.unwrap_or(state.cfg.deadline_ms).min(state.cfg.deadline_ms),
+        ),
+        JobKind::Fault => (0, state.cfg.deadline_ms),
     };
     if reserve > 0 {
         let claimed = account
@@ -705,7 +687,7 @@ fn admit(
         }
     }
     let now = Instant::now();
-    let deadline = now + Duration::from_millis(deadline_ms.unwrap_or(state.cfg.deadline_ms));
+    let deadline = now + Duration::from_millis(deadline_ms);
     let job = Job {
         id,
         req,
@@ -815,11 +797,14 @@ fn run_job(state: &Arc<State>, job: &Job) {
         );
         return;
     }
-    match job.kind {
-        JobKind::Fault => run_fault(state, job),
-        JobKind::Spec(ref spec) => run_spec(state, job, spec),
-        JobKind::Run(ref run) => run_run(state, job, run),
-    }
+    // Every span, counter and spec-decision event the engine emits for
+    // this job carries the request's trace id: the recorder handle is
+    // request-scoped, the shared event sink is not.
+    let rec = state.rec.with_request(job.req, job.conn);
+    let wid = state.watch_register(job.deadline, job.cancel.clone());
+    let result = catch_unwind(AssertUnwindSafe(|| execute(state, job, &rec)));
+    state.watch_remove(wid);
+    finish(state, job, &rec, result);
     let elapsed = job.enqueued.elapsed();
     state.live.latency_us.observe(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
     state
@@ -836,62 +821,72 @@ fn note_lookup(state: &State, hit: bool) {
     }
 }
 
-fn run_fault(state: &Arc<State>, job: &Job) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        panic!("injected fault (chaos request)");
-    }));
-    debug_assert!(outcome.is_err());
-    state.counters.panics.fetch_add(1, Ordering::Relaxed);
-    state.counters.errors.fetch_add(1, Ordering::Relaxed);
-    state.rec.count("serve.panics", 1);
-    state.flight.record(job.req, job.conn, "panic", format!("fault id {} (injected)", job.id));
-    crash_dump(state, job, "worker panicked: injected fault (chaos request)");
-    send(
-        &job.writer,
-        &Response {
-            id: job.id,
-            body: ResponseBody::Error(ErrorInfo::new(
-                ErrorClass::Internal,
-                "worker panicked serving the request (contained); the fault was injected",
-            )),
-        },
-    );
+/// A job that ran to completion: its reply, and what admission needs
+/// to settle the connection account.
+struct Done {
+    body: ResponseBody,
+    /// Whether the resident memo answered the specialisation.
+    memo_hit: bool,
+    /// Engine steps the specialisation stage counted (the original
+    /// run's, for a memo hit).
+    steps: u64,
 }
 
-fn run_spec(state: &Arc<State>, job: &Job, spec: &SpecRequest) {
-    // Every span, counter and spec-decision event the engine emits for
-    // this job carries the request's trace id: the recorder handle is
-    // request-scoped, the shared event sink is not.
-    let rec = state.rec.with_request(job.req, job.conn);
-    let wid = state.watch_register(job.deadline, job.cancel.clone());
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        state.resident.execute_spec(spec, job.cancel.clone(), &rec)
-    }));
-    state.watch_remove(wid);
+/// Runs one job's body; [`run_job`] contains its panics.
+fn execute(state: &State, job: &Job, rec: &Recorder) -> Result<Done, ErrorInfo> {
+    match &job.kind {
+        JobKind::Spec(spec) => {
+            let o = state.resident.execute_spec(spec, job.cancel.clone(), rec)?;
+            Ok(Done {
+                memo_hit: o.memo_hit,
+                steps: o.stats.steps,
+                body: ResponseBody::Spec {
+                    entry: o.entry,
+                    residual: o.residual.to_string(),
+                    stats: o.stats,
+                    memo_hit: o.memo_hit,
+                },
+            })
+        }
+        JobKind::Run(run) => {
+            let o = state.resident.execute_run(run, job.cancel.clone(), rec, state.cfg.vm_opt)?;
+            Ok(Done {
+                memo_hit: o.memo_hit,
+                steps: o.spec_stats.steps,
+                body: ResponseBody::Run {
+                    entry: o.entry,
+                    value: o.value,
+                    memo_hit: o.memo_hit,
+                    compiled_hit: o.compiled_hit,
+                    instructions: o.instructions,
+                },
+            })
+        }
+        JobKind::Fault => panic!("injected fault (chaos request)"),
+    }
+}
+
+/// Settles a job's fuel reservation, counts and records its outcome,
+/// then replies (or writes a crash dump first, for a contained panic).
+fn finish(
+    state: &State,
+    job: &Job,
+    rec: &Recorder,
+    result: std::thread::Result<Result<Done, ErrorInfo>>,
+) {
     match result {
-        Ok(Ok(outcome)) => {
+        Ok(Ok(done)) => {
             // Refund what the run did not spend. A memo hit ran no
-            // engine work at all — its `stats` are the original run's
+            // engine work at all — its steps are the original run's
             // counters — so the whole reservation comes back.
-            let spent =
-                if outcome.memo_hit { 0 } else { outcome.stats.steps.min(job.reserved) };
+            let spent = if done.memo_hit { 0 } else { done.steps.min(job.reserved) };
             job.account.fetch_add(job.reserved - spent, Ordering::AcqRel);
             state.counters.ok.fetch_add(1, Ordering::Relaxed);
             rec.count("serve.ok", 1);
-            note_lookup(state, outcome.memo_hit);
-            state.flight.record(job.req, job.conn, "done", format!("spec id {}", job.id));
-            send(
-                &job.writer,
-                &Response {
-                    id: job.id,
-                    body: ResponseBody::Spec {
-                        entry: outcome.entry,
-                        residual: outcome.residual.to_string(),
-                        stats: outcome.stats,
-                        memo_hit: outcome.memo_hit,
-                    },
-                },
-            );
+            note_lookup(state, done.memo_hit);
+            let detail = format!("{} id {}", job.kind.name(), job.id);
+            state.flight.record(job.req, job.conn, "done", detail);
+            send(&job.writer, &Response { id: job.id, body: done.body });
         }
         Ok(Err(info)) => {
             let spent = info.stats.map_or(0, |s| s.steps).min(job.reserved);
@@ -911,79 +906,26 @@ fn run_spec(state: &Arc<State>, job: &Job, spec: &SpecRequest) {
             state.counters.panics.fetch_add(1, Ordering::Relaxed);
             state.counters.errors.fetch_add(1, Ordering::Relaxed);
             state.rec.count("serve.panics", 1);
-            state.flight.record(job.req, job.conn, "panic", format!("id {}", job.id));
-            crash_dump(state, job, "worker panicked serving the request");
+            let (detail, dump, reply) = if matches!(job.kind, JobKind::Fault) {
+                (
+                    format!("fault id {} (injected)", job.id),
+                    "worker panicked: injected fault (chaos request)",
+                    "worker panicked serving the request (contained); the fault was injected",
+                )
+            } else {
+                (
+                    format!("id {}", job.id),
+                    "worker panicked serving the request",
+                    "worker panicked serving the request (contained)",
+                )
+            };
+            state.flight.record(job.req, job.conn, "panic", detail);
+            crash_dump(state, job, dump);
             send(
                 &job.writer,
                 &Response {
                     id: job.id,
-                    body: ResponseBody::Error(ErrorInfo::new(
-                        ErrorClass::Internal,
-                        "worker panicked serving the request (contained)",
-                    )),
-                },
-            );
-        }
-    }
-}
-
-fn run_run(state: &Arc<State>, job: &Job, run: &RunRequest) {
-    let rec = state.rec.with_request(job.req, job.conn);
-    let wid = state.watch_register(job.deadline, job.cancel.clone());
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        state.resident.execute_run(run, job.cancel.clone(), &rec, state.cfg.vm_opt)
-    }));
-    state.watch_remove(wid);
-    match result {
-        Ok(Ok(outcome)) => {
-            // Refund as for `spec`: only the specialisation stage drew
-            // on the connection account, and a memo hit drew nothing.
-            let spent =
-                if outcome.memo_hit { 0 } else { outcome.spec_stats.steps.min(job.reserved) };
-            job.account.fetch_add(job.reserved - spent, Ordering::AcqRel);
-            state.counters.ok.fetch_add(1, Ordering::Relaxed);
-            rec.count("serve.ok", 1);
-            note_lookup(state, outcome.memo_hit);
-            state.flight.record(job.req, job.conn, "done", format!("run id {}", job.id));
-            send(
-                &job.writer,
-                &Response {
-                    id: job.id,
-                    body: ResponseBody::Run {
-                        entry: outcome.entry,
-                        value: outcome.value,
-                        memo_hit: outcome.memo_hit,
-                        compiled_hit: outcome.compiled_hit,
-                        instructions: outcome.instructions,
-                    },
-                },
-            );
-        }
-        Ok(Err(info)) => {
-            let spent = info.stats.map_or(0, |s| s.steps).min(job.reserved);
-            job.account.fetch_add(job.reserved - spent, Ordering::AcqRel);
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-            if info.class == ErrorClass::Deadline {
-                state.counters.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                state.rec.count("serve.deadline_expired", 1);
-            }
-            state.flight.record(job.req, job.conn, "error", format!("id {}: {}", job.id, info.class));
-            send(&job.writer, &Response { id: job.id, body: ResponseBody::Error(info) });
-        }
-        Err(_) => {
-            state.counters.panics.fetch_add(1, Ordering::Relaxed);
-            state.counters.errors.fetch_add(1, Ordering::Relaxed);
-            state.rec.count("serve.panics", 1);
-            state.flight.record(job.req, job.conn, "panic", format!("id {}", job.id));
-            crash_dump(state, job, "worker panicked serving the request");
-            send(
-                &job.writer,
-                &Response {
-                    id: job.id,
-                    body: ResponseBody::Error(ErrorInfo::new(
-                        ErrorClass::Internal,
-                        "worker panicked serving the request (contained)",
-                    )),
+                    body: ResponseBody::Error(ErrorInfo::new(ErrorClass::Internal, reply)),
                 },
             );
         }
@@ -1380,9 +1322,19 @@ mod tests {
         let ResponseBody::Error(e) = resp.body else { panic!("{resp:?}") };
         assert_eq!(e.class, ErrorClass::Overloaded);
         assert!(e.retryable);
+        // The shed counter agrees with what clients were told. The two
+        // spinning requests answer too: `deadline`, or `overloaded` if
+        // the worker had not yet taken the first when the second came.
+        let told = [read_response(&mut slow), read_response(&mut q)]
+            .iter()
+            .filter(|r| {
+                matches!(&r.body, ResponseBody::Error(e) if e.class == ErrorClass::Overloaded)
+            })
+            .count() as u64
+            + 1;
         server.shutdown();
         handle.join();
-        assert!(server.stats().shed >= 1);
+        assert_eq!(server.stats().shed, told);
     }
 
     #[test]

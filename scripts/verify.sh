@@ -45,7 +45,8 @@ timeout 60 ./target/release/mspec trace-check target/telemetry/events.jsonl
 echo "==> ill-typed library smoke (one front end, typed artefact builds)"
 # Module B adds a boolean to a natural. The artefact build must refuse
 # it, and `spec` must report it identically with and without telemetry:
-# every path builds through the same front end.
+# every path builds through the same front end. The failed traced run
+# still writes its event log, which must schema-check.
 rm -rf target/ill-typed
 mkdir -p target/ill-typed/src
 printf 'module A where\na1 x = x + 1\n' > target/ill-typed/src/A.mspec
@@ -69,14 +70,22 @@ grep -q 'type mismatch' target/ill-typed/spec.err \
   || { echo "mspec spec did not report the type error"; exit 1; }
 cmp target/ill-typed/spec.err target/ill-typed/spec-traced.err \
   || { echo "mspec spec reports the type error differently under --metrics"; exit 1; }
+timeout 60 ./target/release/mspec trace-check target/ill-typed/events.jsonl
 
-echo "==> mspecd daemon smoke (TCP: spec + health + injected fault + shutdown)"
-# Start the daemon on an OS-assigned port with chaos (fault injection)
-# enabled and a telemetry trace, drive one of each request class
-# through the real client, then stop it gracefully. Every step is under
-# timeout: a wedged daemon must fail verify, not hang it.
+echo "==> mspecd daemon smoke (stdio via --spawn; TCP: spec + health + injected fault + shutdown)"
+# First a one-shot daemon over stdio, spawned by the client itself.
+# Then start the daemon on an OS-assigned port with chaos (fault
+# injection) enabled and a telemetry trace, drive one of each request
+# class through the real client, and stop it gracefully. Every step is
+# under timeout: a wedged daemon must fail verify, not hang it.
 rm -rf target/serve-smoke
 mkdir -p target/serve-smoke/crashes
+timeout 120 ./target/release/mspec client spec examples/programs/power.mspec \
+  --entry Power.power --args S:4,D --spawn > target/serve-smoke/spawned.txt
+timeout 60 ./target/release/mspec spec examples/programs/power.mspec \
+  --entry Power.power --args S:4,D > target/serve-smoke/spawned-batch.txt
+cmp target/serve-smoke/spawned.txt target/serve-smoke/spawned-batch.txt \
+  || { echo "daemon over stdio served a different residual from mspec spec"; exit 1; }
 ./target/release/mspec serve --port 0 --chaos --vm-opt fuse \
   --trace target/serve-smoke/daemon-trace.jsonl \
   --crash-dir target/serve-smoke/crashes \
@@ -151,7 +160,7 @@ timeout 60 ./target/release/mspec trace flame target/serve-smoke/daemon-trace.js
 test -s target/serve-smoke/stacks.txt \
   || { echo "trace flame produced no stacks"; exit 1; }
 
-echo "==> tiered-execution smoke (fused CLI run + run_table bench)"
+echo "==> tiered-execution smoke (tree, VM and fused VM agree through the CLI)"
 # The three execution tiers must agree on a real workload end to end
 # through the CLI: tree evaluator (ground truth), plain VM, fused VM.
 TREE=$(timeout 60 ./target/release/mspec run examples/programs/power.mspec \
@@ -162,14 +171,6 @@ FUSED=$(timeout 60 ./target/release/mspec run examples/programs/power.mspec \
   --entry Power.power --args 5,2 --runner vm --vm-opt fuse)
 test "${TREE}" = "${PLAIN}" && test "${PLAIN}" = "${FUSED}" \
   || { echo "tiers disagree: tree=${TREE} vm=${PLAIN} fused=${FUSED}"; exit 1; }
-# The PR 8 bench must run to completion and emit its report (in a
-# scratch directory so a committed BENCH_pr8.json is not clobbered);
-# it asserts value/fuel identity across dispatchers internally.
-rm -rf target/bench-smoke
-mkdir -p target/bench-smoke
-( cd target/bench-smoke && timeout 600 ../../target/release/run_table )
-test -s target/bench-smoke/BENCH_pr8.json \
-  || { echo "run_table wrote no BENCH_pr8.json"; exit 1; }
 
 echo "==> persistent residual cache smoke (warm spec + daemon restart)"
 # Cold then warm `mspec spec` through the same --cache-dir: the second
@@ -210,6 +211,8 @@ for round in cold warm; do
 done
 cmp target/cache-smoke/daemon-cold.txt target/cache-smoke/daemon-warm.txt \
   || { echo "restarted daemon served a different residual"; exit 1; }
+ls target/cache-smoke/dcache/*.resid > /dev/null \
+  || { echo "the daemon persisted no residual to its cache dir"; exit 1; }
 if grep -qF '[memo hit]' target/cache-smoke/daemon-cold.err; then
   echo "cold daemon run unexpectedly hit the memo"; exit 1
 fi
@@ -242,10 +245,6 @@ cmp target/cache-smoke/rebuilt.txt target/cache-smoke/uncached.txt \
 if grep -q 'cache hit' target/cache-smoke/rebuilt.err; then
   echo "link-spec after a body-only rebuild hit the cache"; exit 1
 fi
-# The PR 9 bench asserts the cold/warm and eager/lazy wins internally.
-( cd target/bench-smoke && timeout 600 ../../target/release/cache_table )
-test -s target/bench-smoke/BENCH_pr9.json \
-  || { echo "cache_table wrote no BENCH_pr9.json"; exit 1; }
 
 echo "==> perfbench self-tests + 3 s smoke of each workload + traced spec-run (offline)"
 # The benchmark checks every output against its oracles (tree-evaluated

@@ -179,3 +179,54 @@ fn gx_files_are_faithful() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Seekable `.gx` files decode lazily: linking a 24-module library and
+/// specialising an entry that uses 3 of its 192 functions decodes fewer
+/// payload bytes (offset tables at load, then the functions the engine
+/// looks up) than an eager parse of every artefact's payload would.
+#[test]
+fn linking_a_library_decodes_less_than_an_eager_parse() {
+    let dir = tmpdir("seekable");
+    let src = dir.join("src");
+    fs::create_dir_all(&src).unwrap();
+    let shape = mspec_testkit::LibraryShape {
+        modules: 24,
+        fns_per_module: 8,
+        used_fns: 3,
+        exponent: 6,
+        cross_module: true,
+    };
+    let (program, entry) = mspec_testkit::library_program(&shape);
+    for module in &program.modules {
+        let text = mspec_lang::pretty::pretty_module(module);
+        fs::write(src.join(format!("{}.mspec", module.name)), text).unwrap();
+    }
+    let out = dir.join("gx");
+    mspec_cogen::build(&src, &out, &mspec_cogen::BuildOptions::default()).unwrap();
+
+    // An eager parse decodes each artefact's whole payload: everything
+    // after the header line.
+    let mut eager = 0;
+    for file in fs::read_dir(&out).unwrap() {
+        let path = file.unwrap().path();
+        if path.extension().is_some_and(|e| e == "gx") {
+            let text = fs::read_to_string(&path).unwrap();
+            eager += (text.len() - text.find('\n').unwrap() - 1) as u64;
+        }
+    }
+    let rec = mspec_core::Recorder::enabled();
+    let linked = mspec_cogen::link_dir_traced(&out, &rec).unwrap();
+    Engine::new(&linked, EngineOptions::default())
+        .specialise(&entry, vec![SpecArg::Dynamic])
+        .unwrap();
+    let at_load = rec
+        .snapshot()
+        .counters
+        .iter()
+        .find(|(name, _)| name == "io.gx_bytes_decoded")
+        .map(|&(_, n)| n)
+        .unwrap();
+    let lazy = at_load + linked.lazy_decoded_bytes();
+    assert!(lazy < eager, "lazy decoding read {lazy} bytes, an eager parse {eager}");
+    let _ = fs::remove_dir_all(&dir);
+}

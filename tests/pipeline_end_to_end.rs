@@ -487,19 +487,36 @@ fn mspec_error(args: &[&str]) -> String {
 
 /// Every front end builds through `build_program`, so an ill-typed import
 /// gets one answer: `mspec check`, `mspec spec` with and without
-/// telemetry, and a daemon inline `spec` (class `compile`).
+/// telemetry, and a daemon inline `spec` (class `compile`). The failed
+/// traced run still writes its telemetry, which shows the failure.
 #[test]
 fn every_front_end_reports_an_ill_typed_import_alike() {
     let dir = temp_dir("ill-typed-text");
     let file = write_program(&dir, &ILL_TYPED);
     let log = format!("{dir}/events.jsonl");
+    let trace = format!("{dir}/trace.json");
     let want = "staged build: 1 failed, 1 skipped, 1 built; \
                 B: type mismatch in B.b1: expected Bool, found Nat; \
                 C: skipped (import B did not build)";
     let spec = ["spec", &file, "--entry", "C.c1", "--args", "D"];
     assert_eq!(mspec_error(&["check", &file]), want);
     assert_eq!(mspec_error(&spec), want);
-    assert_eq!(mspec_error(&[&spec[..], &["--metrics", &log]].concat()), want);
+    let traced = [&spec[..], &["--metrics", &log, "--trace", &trace]].concat();
+    assert_eq!(mspec_error(&traced), want);
+    for written in [&log, &trace] {
+        let text = std::fs::read_to_string(written).unwrap();
+        mspec_core::telemetry::validate(&text).unwrap();
+    }
+    let events = std::fs::read_to_string(&log).unwrap();
+    let snap = mspec_core::telemetry::Snapshot::parse_jsonl(&events).unwrap();
+    assert!(
+        snap.events.iter().any(|e| matches!(
+            &e.kind,
+            mspec_core::telemetry::EventKind::SpanBegin { name, detail, .. }
+                if name == "build-module" && detail == "B"
+        )),
+        "the log holds no build-module span for B:\n{events}"
+    );
 
     let source: String = ILL_TYPED.iter().map(|(_, src)| *src).collect();
     let e = mspec_serve::Resident::new()
