@@ -1,6 +1,7 @@
 //! E3 table: specialisation-session cost, mix vs generating extensions —
 //! plus the PR 4 residual-runner table (tree evaluator vs bytecode VM),
-//! which is also written machine-readable to `BENCH_pr4.json`.
+//! which is also printed as one machine-readable JSON record, in the
+//! format of the kept `BENCH_pr4.json`.
 //!
 //! Run: `cargo run --release -p mspec-bench --bin speed_table`
 
@@ -130,7 +131,8 @@ fn runner_row(
 }
 
 /// PR 4 table: executing residual programs, tree evaluator vs bytecode
-/// VM, on the E3 and E5 residuals. Writes `BENCH_pr4.json`.
+/// VM, on the E3 and E5 residuals, then the same rows as one JSON record
+/// on stdout. Nothing is written to disk.
 fn runner_table() {
     let cores = cores();
     println!();
@@ -189,8 +191,6 @@ fn runner_table() {
         ("cores".to_string(), Json::Num(cores as u128)),
     ];
     fields.extend(rows.iter().map(RunnerRow::to_json));
-    let report = Json::Obj(fields);
-    std::fs::write("BENCH_pr4.json", report.write_pretty()).expect("write BENCH_pr4.json");
     println!();
-    println!("wrote BENCH_pr4.json");
+    println!("{}", Json::Obj(fields).write_pretty());
 }

@@ -32,7 +32,7 @@ pub fn us(d: Duration) -> String {
     format!("{:>10.1}", d.as_secs_f64() * 1e6)
 }
 
-/// The machine's core count, recorded in `BENCH_pr4.json` so readers
+/// The machine's core count, recorded in `speed_table`'s JSON so readers
 /// can interpret the numbers (single-threaded timings from a loaded
 /// many-core box deserve suspicion).
 pub fn cores() -> usize {

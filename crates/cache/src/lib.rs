@@ -33,9 +33,6 @@ use std::path::{Path, PathBuf};
 /// Artefact kind token for on-disk residual cache entries.
 pub const RESID_KIND: &str = "resid";
 
-/// Environment variable naming the default cache directory.
-pub const CACHE_DIR_ENV: &str = "MSPEC_CACHE_DIR";
-
 /// One finished specialisation, as stored on disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
@@ -517,6 +514,12 @@ mod tests {
         fs::write(src.join("Main.mspec"), "module Main where\nimport Power\nmain y = power 3 y\n")
             .unwrap();
         build(&src, &out, &BuildOptions::default()).unwrap();
+        // Age both sources past their artefacts: a source written in the
+        // same file-time tick as its build counts as stale.
+        for f in ["Power.mspec", "Main.mspec"] {
+            let then = std::time::SystemTime::now() - std::time::Duration::from_secs(60);
+            fs::File::options().append(true).open(src.join(f)).unwrap().set_modified(then).unwrap();
+        }
         let cache = DiskCache::open(base.join("cache")).unwrap();
         let (cold, hit) = link_spec(&out, &cache);
         assert!(!hit);
@@ -525,13 +528,8 @@ mod tests {
         let before = dir_identity(&out);
         let bti_before = fs::read(out.join("Power.bti")).unwrap();
 
-        // Rewrite Power's body only; backdate its artefacts so the
-        // rewrite is newer than them whatever the file-time granularity.
+        // Rewrite Power's body only.
         fs::write(src.join("Power.mspec"), power("power (n - 1) x + x")).unwrap();
-        for f in ["Power.bti", "Power.gx"] {
-            let then = std::time::SystemTime::now() - std::time::Duration::from_secs(30);
-            fs::File::options().append(true).open(out.join(f)).unwrap().set_modified(then).unwrap();
-        }
         let report = build(&src, &out, &BuildOptions::default()).unwrap();
         assert_eq!(report.rebuilt(), 1, "only Power rebuilds");
         assert_eq!(fs::read(out.join("Power.bti")).unwrap(), bti_before, "same interface");

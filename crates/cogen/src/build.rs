@@ -11,17 +11,19 @@
 //!   `mspec` CLI and the daemon's inline programs.
 //! * [`build`] builds a source tree incrementally, in the style of `make`
 //!   ("when a module is added to a software system, it can be analysed
-//!   and tailored for specialisation once and for all", §9):
+//!   and tailored for specialisation once and for all", §9). It is the
+//!   one writer of artefact directories:
 //!   * a *source tree* is a directory of `Module.mspec` files (one
-//!     module per file, file name = module name),
+//!     module per file, file name = module name), or one source file
+//!     holding several modules,
 //!   * modules are processed in dependency order, writing `Module.bti`,
 //!     `Module.gx` and a readable `GenModule.txt` into an artefact
 //!     directory,
 //!   * every module is typechecked, but a module is **rebuilt only when
-//!     stale**: its source is newer than its artefacts, or any import's
-//!     interface file is newer (interface changes propagate; mere
-//!     rebuilds that leave the `.bti` byte-identical do not dirty
-//!     downstream modules).
+//!     stale**: its source is not older than its `.bti` (file times are
+//!     coarse, so a rewrite in the same tick as the last build counts as
+//!     newer), or an import's interface changed (mere rebuilds that leave
+//!     the `.bti` byte-identical do not dirty downstream modules).
 //!
 //! [`link_dir`] loads every `.gx` in an artefact directory into a
 //! runnable [`GenProgram`] — no source needed.
@@ -34,7 +36,7 @@ use mspec_bta::analyse::analyse_module_with_traced;
 use mspec_bta::{AnnModule, AnnProgram, BtInterface, BtaError};
 use mspec_genext::{GenModule, GenProgram};
 use mspec_lang::ast::{Ident, ModName, Module, Program, QualName};
-use mspec_lang::parser::parse_module;
+use mspec_lang::parser::{parse_module, parse_program};
 use mspec_lang::resolve::{resolve, ResolvedProgram};
 use mspec_telemetry::{ModuleOutcome, Recorder};
 use mspec_types::{infer_module_traced, ProgramTypes, TypeInterface};
@@ -201,7 +203,9 @@ pub struct BuildOptions {
     pub force: bool,
 }
 
-/// Builds (incrementally) all modules of `src_dir` into `out_dir`.
+/// Builds (incrementally) all modules of `src` into `out_dir`. `src` is
+/// a source tree or one source file holding any number of modules; the
+/// artefacts are the same either way.
 ///
 /// # Errors
 ///
@@ -210,11 +214,11 @@ pub struct BuildOptions {
 /// type error in any module, and any analysis error from rebuilt
 /// modules.
 pub fn build(
-    src_dir: impl AsRef<Path>,
+    src: impl AsRef<Path>,
     out_dir: impl AsRef<Path>,
     options: &BuildOptions,
 ) -> Result<BuildReport, CogenError> {
-    build_traced(src_dir, out_dir, options, &Recorder::disabled())
+    build_traced(src, out_dir, options, &Recorder::disabled())
 }
 
 /// [`build`] with telemetry: one `cogen-build` span for the run, a
@@ -225,36 +229,16 @@ pub fn build(
 ///
 /// As [`build`].
 pub fn build_traced(
-    src_dir: impl AsRef<Path>,
+    src: impl AsRef<Path>,
     out_dir: impl AsRef<Path>,
     options: &BuildOptions,
     rec: &Recorder,
 ) -> Result<BuildReport, CogenError> {
-    let src_dir = src_dir.as_ref();
+    let src = src.as_ref();
     let out_dir = out_dir.as_ref();
     let _build_span = rec.span("cogen-build");
     fs::create_dir_all(out_dir)?;
-
-    // Load the source tree.
-    let mut modules: Vec<(Module, PathBuf)> = Vec::new();
-    let mut entries: Vec<PathBuf> = fs::read_dir(src_dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|e| e == "mspec"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text = fs::read_to_string(&path)?;
-        let module = parse_module(&text)?;
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        if module.name.as_str() != stem {
-            return Err(CogenError::Format(format!(
-                "file {} declares module {}, expected {stem}",
-                path.display(),
-                module.name
-            )));
-        }
-        modules.push((module, path));
-    }
+    let modules = load_sources(src)?;
 
     // Resolve the whole tree once: validates references and gives the
     // dependency order. (Typing and analysis still run per module,
@@ -286,6 +270,34 @@ pub fn build_traced(
     }
     rec.count("cogen.modules_rebuilt", report.rebuilt() as u64);
     Ok(report)
+}
+
+/// The modules of a build's source, each with the file it came from: a
+/// multi-module source file, or a source tree's `Module.mspec` files.
+fn load_sources(src: &Path) -> Result<Vec<(Module, PathBuf)>, CogenError> {
+    if src.is_file() {
+        let program = parse_program(&fs::read_to_string(src)?)?;
+        return Ok(program.modules.into_iter().map(|m| (m, src.to_path_buf())).collect());
+    }
+    let mut entries: Vec<PathBuf> = fs::read_dir(src)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|e| e == "mspec"))
+        .collect();
+    entries.sort();
+    let mut modules = Vec::with_capacity(entries.len());
+    for path in entries {
+        let module = parse_module(&fs::read_to_string(&path)?)?;
+        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
+        if module.name.as_str() != stem {
+            return Err(CogenError::Format(format!(
+                "file {} declares module {}, expected {stem}",
+                path.display(),
+                module.name
+            )));
+        }
+        modules.push((module, path));
+    }
+    Ok(modules)
 }
 
 /// The interfaces of one build, by module: each one written by the
@@ -433,10 +445,11 @@ pub fn link_dir_traced(
     Ok(GenProgram::link_units(units)?)
 }
 
+/// Whether `a` may have changed since `b` was written. Equal times
+/// count: a file-time tick is coarse enough for a source rewritten right
+/// after a build to carry its artefact's time.
 fn newer(a: &Path, b: &Path) -> Result<bool, CogenError> {
-    let ta = mtime(a)?;
-    let tb = mtime(b)?;
-    Ok(ta > tb)
+    Ok(mtime(a)? >= mtime(b)?)
 }
 
 fn mtime(p: &Path) -> Result<SystemTime, CogenError> {
@@ -464,14 +477,10 @@ mod tests {
         }
     }
 
-    /// Rewrites a module's source and backdates its artefacts, so the
-    /// source is strictly newer than them even when the rewrite lands
-    /// in the same coarse file-time tick as the last build's writes.
-    fn rewrite(src: &Path, out: &Path, module: &str, text: &str) {
+    /// Rewrites a module's source right after a build, often within the
+    /// file-time tick of the build's own writes.
+    fn rewrite(src: &Path, module: &str, text: &str) {
         fs::write(src.join(format!("{module}.mspec")), text).unwrap();
-        for ext in ["bti", "gx"] {
-            set_mtime_back(&out.join(format!("{module}.{ext}")), 30);
-        }
     }
 
     fn setup(tag: &str) -> (PathBuf, PathBuf) {
@@ -511,6 +520,23 @@ mod tests {
         let _ = fs::remove_dir_all(src.parent().unwrap());
     }
 
+    /// A source carrying exactly its `.bti`'s time, as after a rewrite
+    /// in the same file-time tick as the build that wrote the `.bti`, is
+    /// rebuilt rather than reported up to date.
+    #[test]
+    fn a_rewrite_in_the_same_tick_is_rebuilt() {
+        let (src, out) = setup("same-tick");
+        build(&src, &out, &BuildOptions::default()).unwrap();
+        let power = src.join("Power.mspec");
+        let body = "module Power where\npower n x = if n == 1 then x else power (n - 1) x * x\n";
+        rewrite(&src, "Power", body);
+        let bti_time = fs::metadata(out.join("Power.bti")).unwrap().modified().unwrap();
+        fs::OpenOptions::new().write(true).open(&power).unwrap().set_modified(bti_time).unwrap();
+        let r = build(&src, &out, &BuildOptions::default()).unwrap();
+        assert!(matches!(r.outcome("Power"), Some(ModuleOutcome::Built)));
+        let _ = fs::remove_dir_all(src.parent().unwrap());
+    }
+
     #[test]
     fn touching_a_leaf_rebuilds_only_it_when_interface_is_stable() {
         let (src, out) = setup("leaf");
@@ -520,7 +546,6 @@ mod tests {
         // Rewrite Power with the same interface (body tweak only).
         rewrite(
             &src,
-            &out,
             "Power",
             "module Power where\npower n x = if n == 1 then x else power (n - 1) x * x\n",
         );
@@ -541,7 +566,6 @@ mod tests {
         // dynamic-conditional structure).
         rewrite(
             &src,
-            &out,
             "Power",
             "module Power where\npower n x = if x == 0 then 0 else if n == 1 then x else x * power (n - 1) x\n",
         );
@@ -558,7 +582,7 @@ mod tests {
         fs::write(out.join("Power.bti"), "garbage").unwrap();
         if source_newer {
             let text = fs::read_to_string(src.join("Power.mspec")).unwrap();
-            rewrite(&src, &out, "Power", &text);
+            rewrite(&src, "Power", &text);
         } else {
             set_mtime_back(&src.join("Power.mspec"), 60);
             set_mtime_back(&src.join("Main.mspec"), 60);
@@ -734,7 +758,6 @@ mod tests {
         // Change Power's interface: everything downstream rebuilds.
         rewrite(
             &src,
-            &out,
             "Power",
             "module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\ncube x = power 3 x\n",
         );
@@ -769,7 +792,7 @@ mod tests {
         let (src, out) = setup("typed-import");
         build(&src, &out, &BuildOptions::default()).unwrap();
         set_mtime_back(&src.join("Power.mspec"), 60);
-        rewrite(&src, &out, "Main", "module Main where\nimport Power\nmain y = power true y\n");
+        rewrite(&src, "Main", "module Main where\nimport Power\nmain y = power true y\n");
         let err = build(&src, &out, &BuildOptions::default()).unwrap_err();
         assert!(matches!(err, CogenError::Type(_)), "{err}");
         assert!(err.to_string().contains("Main.main"), "{err}");

@@ -106,38 +106,48 @@ impl std::fmt::Display for BudgetResource {
     }
 }
 
-/// A shared cancellation flag: the handle an external controller (a
-/// wall-clock deadline watchdog, a disconnecting client) uses to stop a
-/// running specialisation session from another thread.
+/// A shared cancellation flag, with an optional wall-clock deadline: the
+/// handle an external controller (a disconnecting client, the daemon's
+/// per-request deadline) uses to stop a running specialisation session.
 ///
-/// The engine polls the flag on its step-fuel path (every
+/// The engine polls the token on its step-fuel path (every
 /// [`CancelToken::CHECK_MASK`]` + 1` steps, so the cost is one atomic
-/// load amortised over ~1k evaluation steps) and aborts with
-/// [`crate::SpecError::Cancelled`] carrying the partial-progress step
-/// count. Cancellation is level-triggered and permanent: once fired,
-/// the token stays fired, so a session handed an already-cancelled
-/// token stops at its first step.
+/// load, plus one clock read for a token with a deadline, amortised over
+/// ~1k evaluation steps) and aborts with [`crate::SpecError::Cancelled`]
+/// carrying the partial-progress step count. Cancellation is
+/// level-triggered and permanent: once fired or past its deadline, the
+/// token stays fired, so a session handed an already-cancelled token
+/// stops at its first check.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicBool>);
+pub struct CancelToken {
+    fired: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    deadline: Option<std::time::Instant>,
+}
 
 impl CancelToken {
-    /// The engine checks the flag when `steps & CHECK_MASK == 0`.
+    /// The engine checks the token when `steps & CHECK_MASK == 0`.
     pub const CHECK_MASK: u64 = 0x3FF;
 
-    /// A fresh, unfired token.
+    /// A fresh, unfired token without a deadline.
     pub fn new() -> CancelToken {
         CancelToken::default()
+    }
+
+    /// A fresh token that fires by itself once `deadline` has passed.
+    pub fn with_deadline(deadline: std::time::Instant) -> CancelToken {
+        CancelToken { deadline: Some(deadline), ..CancelToken::default() }
     }
 
     /// Fires the token. Every engine polling this handle stops at its
     /// next check point.
     pub fn cancel(&self) {
-        self.0.store(true, std::sync::atomic::Ordering::Release);
+        self.fired.store(true, std::sync::atomic::Ordering::Release);
     }
 
-    /// Whether the token has fired.
+    /// Whether the token has fired or its deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(std::sync::atomic::Ordering::Acquire)
+        self.fired.load(std::sync::atomic::Ordering::Acquire)
+            || self.deadline.is_some_and(|d| std::time::Instant::now() >= d)
     }
 }
 
@@ -208,6 +218,18 @@ mod tests {
         assert!(t.is_cancelled());
         t2.cancel(); // idempotent
         assert!(t2.is_cancelled());
+    }
+
+    #[test]
+    fn cancel_token_fires_at_its_deadline() {
+        let now = std::time::Instant::now();
+        let due = CancelToken::with_deadline(now);
+        assert!(due.is_cancelled(), "a deadline that has passed fires the token");
+        let later = CancelToken::with_deadline(now + std::time::Duration::from_secs(3600));
+        assert!(!later.is_cancelled());
+        later.clone().cancel();
+        assert!(later.is_cancelled(), "cancel() still fires a token with a deadline");
+        assert!(!CancelToken::new().is_cancelled());
     }
 
     #[test]

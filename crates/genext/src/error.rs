@@ -38,8 +38,8 @@ pub enum SpecError {
         chain: Vec<QualName>,
     },
     /// The session's [`crate::CancelToken`] fired mid-run: an external
-    /// controller (a wall-clock deadline watchdog, a disconnecting
-    /// client) asked the engine to stop. The session is abandoned at a
+    /// controller (a wall-clock deadline, a disconnecting client)
+    /// asked the engine to stop. The session is abandoned at a
     /// step boundary; `steps` records the partial progress made, so
     /// callers can report how far the run got before cancellation.
     Cancelled {

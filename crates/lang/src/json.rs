@@ -211,9 +211,22 @@ impl Json {
     ///
     /// [`JsonError`] describing the first problem found.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
+        Json::parse_nested(text, usize::MAX)
+    }
+
+    /// [`Json::parse`], refusing arrays and objects nested more than
+    /// `max_depth` levels deep. The parser recurses once per level, so a
+    /// reader of untrusted text on a small stack bounds the depth here
+    /// rather than overflowing its stack.
+    ///
+    /// # Errors
+    ///
+    /// As [`Json::parse`], plus a [`JsonError`] at the first container
+    /// past `max_depth`.
+    pub fn parse_nested(text: &str, max_depth: usize) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, max_depth)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return err(format!("trailing characters at byte {pos}"));
@@ -273,10 +286,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value; `depth` is how many more levels of arrays and
+/// objects it may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => err("unexpected end of input"),
+        Some(b'{' | b'[') if depth == 0 => {
+            err(format!("nesting exceeds the depth limit at byte {}", *pos))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -290,7 +308,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth - 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -312,7 +330,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -629,6 +647,33 @@ mod tests {
         for (text, msg) in cases {
             assert_eq!(Json::parse(text), Err(JsonError(msg.to_string())), "{text:?}");
         }
+    }
+
+    /// A bounded parse refuses the first container past its limit with
+    /// a typed error; an unbounded one reads artefact-deep documents.
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse_nested(&nested(64), 64).is_ok());
+        let e = Json::parse_nested(&nested(65), 64).unwrap_err();
+        assert!(e.0.contains("depth limit at byte 64"), "{e}");
+        assert!(Json::parse_nested(r#"{"a":{"b":[1]}}"#, 2).is_err());
+        assert!(Json::parse_nested(r#"{"a":{"b":[1]}}"#, 3).is_ok());
+        // Stops at the limit without recursing further, so a deep
+        // document fails on any stack instead of overflowing it.
+        assert!(Json::parse_nested(&nested(100_000), 64).is_err());
+        // Unbounded parsing still reads deep artefacts: a `.gx` nests
+        // three levels per expression level (9,002 for a 3,000-deep
+        // expression). The parser recurses per level, so this runs on a
+        // roomy stack, as artefact loading does.
+        let deep = nested(9_002);
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(move || Json::parse(&deep).is_ok())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(parsed);
     }
 
     /// Decoding time grows linearly with the string: 8x the bytes must

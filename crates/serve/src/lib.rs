@@ -24,10 +24,10 @@
 //!   ([`queue`]); when it is full the server answers `overloaded`
 //!   (retryable, the HTTP 503 of this protocol) immediately instead of
 //!   growing latency without bound;
-//! * **deadlines** — each request gets a wall-clock deadline; a
-//!   watchdog thread fires the engine's [`mspec_genext::CancelToken`]
-//!   and the reply is a structured `deadline` error carrying
-//!   partial-progress stats ([`server`]);
+//! * **deadlines** — each request gets a wall-clock deadline, carried
+//!   by the engine's [`mspec_genext::CancelToken`]; once it passes, the
+//!   reply is a structured `deadline` error carrying partial-progress
+//!   stats ([`server`]);
 //! * **observability** — every admitted request is tagged with a
 //!   stable trace id ([`request_trace_id`]) that every `--trace` event
 //!   carries, a read-only `metrics` request answers with a
@@ -53,7 +53,7 @@ pub mod resident;
 pub mod server;
 
 pub use client::{Client, ClientError, RetryPolicy};
-pub use config::{KnobOrigin, ServeConfig, ServeConfigError, ServeKnob};
+pub use config::ServeConfig;
 pub use proto::{
     parse_division, parse_value, parse_values, ErrorClass, ErrorInfo, Request, RequestKind,
     Response, ResponseBody, RunRequest, SpecRequest,

@@ -47,6 +47,12 @@ use std::io::BufRead;
 /// replies `bad-request` rather than buffering without bound.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
+/// Hard cap on how deeply a frame's arrays and objects nest. Frames
+/// carry programs as strings and nest a few levels at most; the JSON
+/// parser recurses once per level, so a deeper frame is refused
+/// `bad-request` before it can overflow the connection thread's stack.
+pub const MAX_FRAME_DEPTH: usize = 64;
+
 /// A client request frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {

@@ -22,9 +22,8 @@ struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
     /// Items popped but not yet marked done via
-    /// [`BoundedQueue::task_done`]. Incremented under the queue lock at
-    /// pop time, so there is no window in which an item has left the
-    /// queue but [`BoundedQueue::is_idle`] reports idle.
+    /// [`BoundedQueue::task_done`]; incremented under the queue lock at
+    /// pop time.
     in_flight: usize,
 }
 
@@ -73,8 +72,7 @@ impl<T> BoundedQueue<T> {
     /// never a hang.
     ///
     /// A popped item counts as *in flight* until the consumer calls
-    /// [`BoundedQueue::task_done`]; [`BoundedQueue::is_idle`] stays
-    /// false in between.
+    /// [`BoundedQueue::task_done`].
     pub fn pop(&self) -> Option<T> {
         let mut inner = match self.inner.lock() {
             Ok(g) => g,
@@ -137,18 +135,6 @@ impl<T> BoundedQueue<T> {
             Err(poisoned) => poisoned.into_inner().in_flight,
         }
     }
-
-    /// Whether the queue is empty *and* no popped item is still being
-    /// processed. Both facts are read under one lock, so a consumer
-    /// that has popped the final item can never be missed — this is
-    /// what the server's deadline watchdog keys its exit on.
-    pub fn is_idle(&self) -> bool {
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        inner.items.is_empty() && inner.in_flight == 0
-    }
 }
 
 #[cfg(test)]
@@ -182,16 +168,14 @@ mod tests {
     #[test]
     fn popped_items_stay_in_flight_until_done() {
         let q = BoundedQueue::new(2);
-        assert!(q.is_idle());
+        assert_eq!(q.in_flight(), 0);
         q.try_push(1).unwrap();
-        assert!(!q.is_idle());
+        assert_eq!(q.in_flight(), 0, "a queued item is not in flight");
         assert_eq!(q.pop(), Some(1));
         // Queue drained, but the item is still being processed.
         assert!(q.is_empty());
-        assert!(!q.is_idle());
         assert_eq!(q.in_flight(), 1);
         q.task_done();
-        assert!(q.is_idle());
         assert_eq!(q.in_flight(), 0);
     }
 

@@ -289,8 +289,8 @@ impl Resident {
 
     /// Executes one specialisation request against the resident caches.
     /// `cancel` is polled by the engine every
-    /// [`CancelToken::CHECK_MASK`]`+1` steps — the deadline watchdog's
-    /// hook into the run.
+    /// [`CancelToken::CHECK_MASK`]`+1` steps — the request's deadline
+    /// rides in it.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@
 //! frame ──parse──▶ admission ──try_push──▶ bounded queue ──pop──▶ worker
 //!          │            │           │                                │
 //!     bad-request   budget-denied  overloaded (shed)          catch_unwind
-//!                                                              deadline watchdog
+//!                                                          deadline in the token
 //! ```
 //!
 //! * `health`/`stats`/`shutdown` are answered inline on the connection
@@ -19,18 +19,18 @@
 //!   bounded queue (refused `overloaded` if full — load shedding).
 //!   Unused fuel is refunded after the run; a panicked request forfeits
 //!   its reservation.
-//! * Each job's wall-clock deadline starts at *admission*: a job that
-//!   expires while still queued is answered `deadline` without running
-//!   (this is what keeps p99 bounded under overload), and a running job
-//!   is cancelled by the watchdog firing the engine's
-//!   [`CancelToken`], surfacing partial-progress stats.
+//! * Each job's wall-clock deadline starts at *admission* and rides in
+//!   its [`CancelToken`]: a job that expires while still queued is
+//!   answered `deadline` without running (this is what keeps p99 bounded
+//!   under overload), and a running job's engine sees the token fire at
+//!   its next poll, surfacing partial-progress stats.
 //! * Every job body runs under `catch_unwind`: a panic becomes a typed
 //!   `internal` reply (retryable) and the worker survives.
 
 use crate::config::ServeConfig;
 use crate::proto::{
     read_frame, ErrorClass, ErrorInfo, FrameBuf, FrameRead, Request, RequestKind, Response,
-    ResponseBody, RunRequest, SpecRequest,
+    ResponseBody, RunRequest, SpecRequest, MAX_FRAME_DEPTH,
 };
 use crate::queue::{BoundedQueue, PushError};
 use crate::resident::{Resident, ResidentOptions};
@@ -39,7 +39,6 @@ use mspec_cogen::{atomic_write, fnv64};
 use mspec_genext::{CancelToken, SpecBudget, SpecStats};
 use mspec_lang::json::{FromJson, Json, ToJson};
 use mspec_telemetry::{Exposition, FlightRing, LogHistogram, RateWindow, Recorder};
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,10 +53,8 @@ const _: fn() = || {
     assert_send_sync::<Resident>();
 };
 
-/// How often connection readers wake up to poll the shutdown flag, and
-/// the granularity of deadline enforcement.
+/// How often connection readers wake up to poll the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
-const WATCHDOG_TICK: Duration = Duration::from_millis(1);
 
 /// Capacity of the always-on crash flight ring: the last N
 /// request-lifecycle events (admissions, sheds, completions, errors)
@@ -131,7 +128,7 @@ struct Job {
     kind: JobKind,
     writer: SharedWriter,
     enqueued: Instant,
-    deadline: Instant,
+    /// Fires once the job's deadline has passed.
     cancel: CancelToken,
     reserved: u64,
     account: Arc<AtomicU64>,
@@ -177,8 +174,6 @@ struct State {
     shutdown: AtomicBool,
     clients: AtomicUsize,
     counters: Counters,
-    next_watch: AtomicU64,
-    watch: Mutex<HashMap<u64, (Instant, CancelToken)>>,
     /// Connection-id mint; ids start at 1 (0 = unscoped in telemetry).
     next_conn: AtomicU64,
     /// Crash-dump sequence number (one per contained panic).
@@ -203,16 +198,6 @@ impl State {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.queue.close();
-    }
-
-    fn watch_register(&self, deadline: Instant, token: CancelToken) -> u64 {
-        let id = self.next_watch.fetch_add(1, Ordering::Relaxed);
-        lock(&self.watch).insert(id, (deadline, token));
-        id
-    }
-
-    fn watch_remove(&self, id: u64) {
-        lock(&self.watch).remove(&id);
     }
 
     fn stats(&self) -> ServerStats {
@@ -308,16 +293,14 @@ impl TcpHandle {
     }
 }
 
-/// The daemon. Construction spawns the worker pool and the deadline
-/// watchdog; [`Server::serve_stdio`] or [`Server::start_tcp`] attaches
-/// transports.
+/// The daemon. Construction spawns the worker pool;
+/// [`Server::serve_stdio`] or [`Server::start_tcp`] attaches transports.
 pub struct Server {
     state: Arc<State>,
 }
 
 impl Server {
-    /// Builds the server and spawns `cfg.workers` request workers plus
-    /// the deadline watchdog.
+    /// Builds the server and spawns `cfg.workers` request workers.
     pub fn new(cfg: ServeConfig, rec: Recorder) -> Server {
         // `serve_cmd` validates `--cache-dir` before the server is
         // built, so a failed open here (raced directory removal) just
@@ -343,8 +326,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             clients: AtomicUsize::new(0),
             counters: Counters::default(),
-            next_watch: AtomicU64::new(0),
-            watch: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             crash_seq: AtomicU64::new(0),
             flight: FlightRing::new(FLIGHT_CAPACITY),
@@ -360,10 +341,6 @@ impl Server {
                 .stack_size(64 * 1024 * 1024)
                 .spawn(move || worker_loop(&st));
         }
-        let st = Arc::clone(&state);
-        let _ = std::thread::Builder::new()
-            .name("mspecd-watchdog".to_string())
-            .spawn(move || watchdog_loop(&st));
         Server { state }
     }
 
@@ -567,7 +544,7 @@ fn handle_frame(
 
     // Parse in two steps so a structurally-valid frame with bad fields
     // still gets its `id` echoed back.
-    let json = match Json::parse(line) {
+    let json = match Json::parse_nested(line, MAX_FRAME_DEPTH) {
         Ok(j) => j,
         Err(e) => {
             state.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
@@ -687,7 +664,6 @@ fn admit(
         }
     }
     let now = Instant::now();
-    let deadline = now + Duration::from_millis(deadline_ms);
     let job = Job {
         id,
         req,
@@ -695,8 +671,7 @@ fn admit(
         kind,
         writer: Arc::clone(writer),
         enqueued: now,
-        deadline,
-        cancel: CancelToken::new(),
+        cancel: CancelToken::with_deadline(now + Duration::from_millis(deadline_ms)),
         reserved: reserve,
         account: Arc::clone(account),
     };
@@ -744,38 +719,17 @@ fn admit(
     }
 }
 
-fn watchdog_loop(state: &Arc<State>) {
-    // Keeps ticking through shutdown until the queue has drained and no
-    // job is mid-run: deadlines stay enforced for draining work. The
-    // in-flight count inside `is_idle` is bumped under the queue lock
-    // at pop time, so a worker that has just taken the final job can
-    // never be missed between the pop and its watch registration.
-    while !state.shutting_down() || !state.queue.is_idle() {
-        {
-            let watch = lock(&state.watch);
-            let now = Instant::now();
-            for (deadline, token) in watch.values() {
-                if now >= *deadline {
-                    token.cancel();
-                }
-            }
-        }
-        std::thread::sleep(WATCHDOG_TICK);
-    }
-}
-
 fn worker_loop(state: &Arc<State>) {
     while let Some(job) = state.queue.pop() {
         run_job(state, &job);
-        // After the reply is written: the watchdog may now consider the
-        // pool idle as far as this job is concerned.
+        // After the reply is written: the job no longer counts as in
+        // flight.
         state.queue.task_done();
     }
 }
 
 fn run_job(state: &Arc<State>, job: &Job) {
-    let now = Instant::now();
-    if now >= job.deadline {
+    if job.cancel.is_cancelled() {
         // Expired while queued: answer without running. This is the
         // half of deadline enforcement that bounds p99 under
         // overload — queued latency counts against the deadline.
@@ -801,9 +755,7 @@ fn run_job(state: &Arc<State>, job: &Job) {
     // this job carries the request's trace id: the recorder handle is
     // request-scoped, the shared event sink is not.
     let rec = state.rec.with_request(job.req, job.conn);
-    let wid = state.watch_register(job.deadline, job.cancel.clone());
     let result = catch_unwind(AssertUnwindSafe(|| execute(state, job, &rec)));
-    state.watch_remove(wid);
     finish(state, job, &rec, result);
     let elapsed = job.enqueued.elapsed();
     state.live.latency_us.observe(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);

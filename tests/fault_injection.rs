@@ -429,10 +429,10 @@ fn kill_mid_write_never_exposes_partial_artefacts() {
 
 /// Daemon chaos matrix: one long-lived server, one abuse sequence.
 /// Malformed JSONL, non-UTF-8 bytes, a frame truncated by a mid-request
-/// disconnect, a panicking request and a budget-exhausting request are
-/// thrown at it in order; after each fault the *next* well-formed
-/// request on a fresh or surviving connection must be answered
-/// correctly.
+/// disconnect, a panicking request, a budget-exhausting request and a
+/// frame nested too deeply to parse are thrown at it in order; after
+/// each fault the *next* well-formed request on a fresh or surviving
+/// connection must be answered correctly.
 #[test]
 fn daemon_survives_the_chaos_matrix() {
     use mspec_serve::{
@@ -597,6 +597,21 @@ fn daemon_survives_the_chaos_matrix() {
         assert!(e.retryable, "panics are retryable: the server is still up");
     }
 
+    // 11. A `health` frame nesting 10,000 arrays (about 20 KB). The
+    // JSON parser recurses once per level: parsed without a bound, it
+    // would overflow the connection thread's stack and abort the whole
+    // daemon. It is refused like any malformed frame and the connection
+    // lives.
+    let levels = 10_000;
+    let deep = format!(
+        "{{\"id\":13,\"kind\":\"health\",\"pad\":{}{}}}\n",
+        "[".repeat(levels),
+        "]".repeat(levels)
+    );
+    c.send_raw(deep.as_bytes());
+    assert_error(c.read_response(), ErrorClass::BadRequest);
+    assert_spec_ok(c.roundtrip(&spec_req(14, 3)), 14);
+
     // After the whole matrix: the surviving connection still works...
     assert_spec_ok(c.roundtrip(&spec_req(9, 4)), 9);
     // ...and so does a brand-new one.
@@ -608,7 +623,7 @@ fn daemon_survives_the_chaos_matrix() {
     let stats = server.stats();
     let panics = if cfg!(debug_assertions) { 2 } else { 1 };
     assert_eq!(stats.panics, panics, "{stats:?}");
-    assert!(stats.bad_frames >= 3, "{stats:?}");
+    assert!(stats.bad_frames >= 4, "{stats:?}");
     let dumps = fs::read_dir(&crashes)
         .unwrap()
         .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with("crash-"))

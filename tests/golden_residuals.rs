@@ -98,3 +98,47 @@ fn memo_counters_reset_per_session() {
     assert_eq!(first.stats.memo_hits, second.stats.memo_hits);
     assert!(first.stats.memo_hits >= 1, "self-recursion must hit the memo");
 }
+
+/// `entry`'s scheme in the residual program `text`, typechecked from the
+/// text alone: parse, resolve, then `infer_program`.
+fn residual_scheme(text: &str, entry: &str) -> String {
+    let program = mspec_lang::parser::parse_program(text).unwrap();
+    let resolved = mspec_lang::resolve::resolve(program).unwrap();
+    let types = mspec_types::infer_program(&resolved).unwrap();
+    source_scheme(&types, entry)
+}
+
+fn source_scheme(types: &mspec_types::ProgramTypes, entry: &str) -> String {
+    let (module, name) = entry.split_once('.').unwrap();
+    types.scheme(&QualName::new(module, name)).unwrap().to_string()
+}
+
+/// Residuals are well-typed programs of their own: every golden
+/// residual, and the list library's `App.weighted` at `S:3,D`,
+/// re-typechecks, and the residual entry's scheme is the source's with
+/// the static parameters dropped.
+#[test]
+fn residuals_retypecheck_with_static_parameters_dropped() {
+    let power = Pipeline::from_source(POWER).unwrap();
+    assert_eq!(source_scheme(power.types(), "Power.power"), "Nat -> Nat -> Nat");
+    let goldens = [include_str!("golden/power_s3.txt"), include_str!("golden/power_s3_forced.txt")];
+    for golden in goldens {
+        assert_eq!(residual_scheme(golden, "Power.power"), "Nat -> Nat", "{golden}");
+    }
+
+    // §5's `main` has one parameter, dynamic: its scheme survives whole.
+    let section5 = Pipeline::from_program(builder::paper_section5_program()).unwrap();
+    assert_eq!(source_scheme(section5.types(), "Main.main"), "Nat -> Nat");
+    let placed = include_str!("golden/section5_placement.txt");
+    assert_eq!(residual_scheme(placed, "Main.main"), "Nat -> Nat");
+
+    let lists = Pipeline::from_source(include_str!("../examples/programs/lists.mspec")).unwrap();
+    assert_eq!(source_scheme(lists.types(), "App.weighted"), "Nat -> [Nat] -> Nat");
+    let weighted = spec(
+        &lists,
+        "App",
+        "weighted",
+        vec![SpecArg::Static(Value::nat(3)), SpecArg::Dynamic],
+    );
+    assert_eq!(residual_scheme(&weighted.source(), "App.weighted"), "[Nat] -> Nat");
+}

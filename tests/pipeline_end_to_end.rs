@@ -531,9 +531,10 @@ fn every_front_end_reports_an_ill_typed_import_alike() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Both artefact writers typecheck before analysing: `cogen::build` and
-/// `mspec cogen` refuse the ill-typed module with a type error naming
-/// `B.b1`, and no residual can be linked from what they left.
+/// The artefact build typechecks before analysing, from a source tree
+/// and from one multi-module file alike: `cogen::build` and `mspec
+/// build` refuse the ill-typed module with a type error naming `B.b1`,
+/// and no residual can be linked from what they left.
 #[test]
 fn artefact_builds_refuse_an_ill_typed_module() {
     let dir = temp_dir("ill-typed-artefacts");
@@ -550,14 +551,98 @@ fn artefact_builds_refuse_an_ill_typed_module() {
     assert!(!ok && stderr.contains("type mismatch in B.b1"), "{stderr}");
 
     let file = write_program(&dir, &ILL_TYPED);
-    let cogen = format!("{dir}/cogen");
-    let err = mspec_error(&["cogen", &file, "--out", &cogen]);
+    let from_file = format!("{dir}/from-file");
+    let err = mspec_error(&["build", &file, "--out", &from_file]);
     assert!(err.contains("type mismatch in B.b1"), "{err}");
 
-    for out in [&built, &cogen] {
+    for out in [&built, &from_file] {
         let (ok, stdout, _) = mspec(&["link-spec", out, "--entry", "C.c1", "--args", "D"]);
         assert!(!ok, "a residual was linked from {out}: {stdout}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `mspec build` takes one multi-module source file as well as a
+/// module-per-file tree, and writes the same artefact bytes from either.
+#[test]
+fn build_from_one_file_writes_the_tree_build_artefacts() {
+    let modules = [
+        ("Power", "module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\n"),
+        ("Sq", "module Sq where\nimport Power\nsq x = power 2 x\n"),
+        ("Main", "module Main where\nimport Sq\nimport Power\nmain x y = sq x + power 3 y\n"),
+    ];
+    let dir = temp_dir("build-file");
+    let src = format!("{dir}/src");
+    std::fs::create_dir_all(&src).unwrap();
+    for (name, text) in modules {
+        std::fs::write(format!("{src}/{name}.mspec"), text).unwrap();
+    }
+    let file = write_program(&dir, &modules);
+    let (tree, one) = (format!("{dir}/tree"), format!("{dir}/one"));
+    let build = |from: &str, out: &str| {
+        let (ok, stdout, stderr) =
+            mspec(&["build", from, "--out", out, "--force-residual", "Power.power"]);
+        assert!(ok, "{stderr}");
+        stdout
+    };
+    let (tree_out, file_out) = (build(&src, &tree), build(&file, &one));
+    assert_eq!(tree_out, file_out);
+    assert!(file_out.ends_with("3 rebuilt, 0 up to date\n"), "{file_out}");
+    let listing = |d: &str| {
+        let mut names: Vec<String> = std::fs::read_dir(d)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    let names = listing(&tree);
+    assert_eq!(names, listing(&one));
+    assert_eq!(names.len(), 12, "a .bti, .sig, .gx and genext text per module: {names:?}");
+    for name in &names {
+        let read = |d: &str| std::fs::read(format!("{d}/{name}")).unwrap();
+        assert!(read(&tree) == read(&one), "{name} differs between the two builds");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every command refuses a flag its body does not read: it exits 1 with
+/// `unknown option --X` instead of running as if the flag were absent.
+#[test]
+fn every_command_refuses_a_flag_it_does_not_read() {
+    let dir = temp_dir("unknown-flags");
+    let file = write_program(
+        &dir,
+        &[("Power", "module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\n")],
+    );
+    let metrics = format!("{dir}/m.jsonl");
+    let spec = ["--entry", "Power.power", "--args", "S:3,D"];
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        ([&["check", &file][..], &["--fuel", "5"]].concat(), "--fuel"),
+        (vec!["analyse", &file, "--cache-dir", &dir], "--cache-dir"),
+        (vec!["build", &file, "--out", &dir, "--strategy", "df"], "--strategy"),
+        ([&["spec", &file][..], &spec, &["--runner", "vm"]].concat(), "--runner"),
+        ([&["link-spec", &dir][..], &spec, &["--force-residual", "Power.power"]].concat(),
+            "--force-residual"),
+        ([&["mix", &file][..], &spec, &["--strategy", "df"]].concat(), "--strategy"),
+        (vec!["run", &file, "--entry", "Power.power", "--args", "3,2", "--metrics", &metrics],
+            "--metrics"),
+        (vec!["explain", "Power.power", "--log", &metrics, "--fuel", "5"], "--fuel"),
+        (vec!["trace-check", &file, "--entry", "M.f"], "--entry"),
+        (vec!["trace", "flame", &file, "--trace", &metrics], "--trace"),
+        (vec!["cache", "gc", "--cache-dir", &dir, "--entry", "M.f"], "--entry"),
+        (vec!["serve", "--stdio", "--entry", "M.f"], "--entry"),
+        (vec!["client", "health", "--spawn", "--out", &dir], "--out"),
+        (vec!["top", "--connect", "127.0.0.1:1", "--once", "--fuel", "1"], "--fuel"),
+    ];
+    for (args, flag) in cases {
+        let out =
+            std::process::Command::new(env!("CARGO_BIN_EXE_mspec")).args(&args).output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr, format!("mspec: unknown option {flag}\n"), "{args:?}");
+    }
+    assert!(!std::path::Path::new(&metrics).exists(), "a refused run wrote {metrics}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
