@@ -12,7 +12,7 @@
 //! * every symbolic binding time is compiled to a [`BtCode`] bitmask.
 
 use mspec_bta::{AnnDef, AnnExpr, AnnModule, AnnProgram};
-use mspec_genext::gexp::{BtCode, GCoerce, GenFn, GenModule, GExp};
+use mspec_genext::gexp::{BtCode, GCoerce, GenFn, GenModule, GExp, UNRESOLVED};
 use mspec_genext::{GenProgram, SpecError};
 use mspec_lang::ast::{Ident, QualName};
 use std::sync::Arc;
@@ -41,12 +41,7 @@ pub fn compile_program(ann: &AnnProgram) -> Result<GenProgram, SpecError> {
 fn compile_def(ann: &AnnModule, d: &AnnDef, lam_counter: &mut u32) -> GenFn {
     let mut scope: Vec<Ident> = d.params.clone();
     let body = compile_expr(&d.body, &mut scope, lam_counter);
-    GenFn {
-        name: QualName { module: ann.name, name: d.name },
-        params: d.params.clone(),
-        sig: d.sig.clone(),
-        body: Arc::new(body),
-    }
+    GenFn::new(QualName { module: ann.name, name: d.name }, d.params.clone(), d.sig.clone(), body)
 }
 
 fn slot_of(scope: &[Ident], x: &Ident) -> u32 {
@@ -76,6 +71,7 @@ fn compile_expr(e: &AnnExpr, scope: &mut Vec<Ident>, lam_counter: &mut u32) -> G
         ),
         AnnExpr::Call { target, inst, args } => GExp::Call {
             target: *target,
+            callee: UNRESOLVED,
             inst: inst.iter().map(BtCode::compile).collect(),
             args: args.iter().map(|a| compile_expr(a, scope, lam_counter)).collect(),
         },

@@ -432,7 +432,7 @@ pub fn load_gx_full(
         .fns
         .into_iter()
         .map(|f| match f {
-            FnUnit::Ready(g) => Ok(g),
+            FnUnit::Ready(g) => Ok(*g),
             FnUnit::Encoded { encoded, .. } => GenFn::from_json_str(&encoded).map_err(jerr),
         })
         .collect::<Result<Vec<_>, CogenError>>()?;

@@ -531,7 +531,7 @@ pub fn write_residual(
     for m in &residual.program.modules {
         for d in &m.defs {
             use mspec_genext::ModuleSink as _;
-            sink.emit(&m.name, d).map_err(PipelineError::Spec)?;
+            sink.emit(m.name, d.clone()).map_err(PipelineError::Spec)?;
         }
     }
     sink.finish(&residual.imports).map_err(PipelineError::Spec)

@@ -4,7 +4,7 @@
 //! program (§2): a diverging specialisation — static recursion that
 //! never bottoms out, or unbounded polyvariance growing fresh skeletons
 //! forever — must surface as a bounded, structured outcome, never a hang
-//! or memory exhaustion. [`SpecBudget`] bounds the four resources a
+//! or memory exhaustion. [`SpecBudget`] bounds the five resources a
 //! session can consume, and [`OnExhaustion`] chooses what happens when
 //! one runs out:
 //!
@@ -50,6 +50,13 @@ pub struct SpecBudget {
     /// Upper bound on total residual AST nodes emitted across all
     /// definitions (code-explosion guard).
     pub max_residual_nodes: usize,
+    /// Upper bound on nested unfolds, and on the length of a static list
+    /// given as an entry argument. Unfolding costs the engine no host
+    /// stack, but a residual built by `n` nested unfolds is an
+    /// expression about `n` levels deep, and the walks that print,
+    /// resolve and compile it recurse once per level; the default keeps
+    /// them a 2× margin on a 64 MiB thread.
+    pub max_unfold_depth: usize,
 }
 
 impl Default for SpecBudget {
@@ -59,9 +66,15 @@ impl Default for SpecBudget {
             max_specialisations: 100_000,
             max_pending: 100_000,
             max_residual_nodes: 50_000_000,
+            max_unfold_depth: DEFAULT_MAX_UNFOLD_DEPTH,
         }
     }
 }
+
+/// [`SpecBudget::max_unfold_depth`]'s default. The deepest recursive walk
+/// over a residual is name resolution, which overflows an 8 MiB stack
+/// between 5,000 and 7,500 levels, so 64 MiB holds at least 40,000.
+pub const DEFAULT_MAX_UNFOLD_DEPTH: usize = 20_000;
 
 impl SpecBudget {
     /// A budget with the given step fuel and default caps elsewhere.
@@ -93,6 +106,8 @@ pub enum BudgetResource {
     Pending,
     /// [`SpecBudget::max_residual_nodes`].
     ResidualNodes,
+    /// [`SpecBudget::max_unfold_depth`].
+    UnfoldDepth,
 }
 
 impl std::fmt::Display for BudgetResource {
@@ -102,6 +117,7 @@ impl std::fmt::Display for BudgetResource {
             BudgetResource::Specialisations => "specialisation count",
             BudgetResource::Pending => "pending/suspension depth",
             BudgetResource::ResidualNodes => "residual program size",
+            BudgetResource::UnfoldDepth => "unfold depth",
         })
     }
 }
@@ -239,6 +255,7 @@ mod tests {
         assert!(b.max_specialisations >= 10_000);
         assert!(b.max_pending >= 10_000);
         assert!(b.max_residual_nodes >= 1_000_000);
+        assert!(b.max_unfold_depth >= 20_000, "E3's power n=20000 unfolds 19,999 deep");
     }
 
     #[test]
@@ -248,6 +265,7 @@ mod tests {
             BudgetResource::Specialisations,
             BudgetResource::Pending,
             BudgetResource::ResidualNodes,
+            BudgetResource::UnfoldDepth,
         ];
         let mut seen = std::collections::BTreeSet::new();
         for r in all {

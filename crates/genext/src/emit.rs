@@ -8,9 +8,11 @@
 //! reproduces that scheme literally; [`MemorySink`] is the in-memory
 //! equivalent used when the caller wants the residual program as a value.
 //!
-//! [`assemble`] computes each generated module's imports from its code,
-//! checks the generated import graph is acyclic, and never materialises
-//! empty modules (they are simply never created, as in the paper).
+//! [`assemble`] gives each generated module its imports (the engine
+//! collects them while it measures each definition; [`imports_of`]
+//! computes them from the code for other producers), checks the
+//! generated import graph is acyclic, and never materialises empty
+//! modules (they are simply never created, as in the paper).
 
 use crate::error::SpecError;
 use mspec_lang::ast::{Def, ModName, Module, Program, QualName};
@@ -28,7 +30,7 @@ pub trait ModuleSink {
     /// # Errors
     ///
     /// Implementations may fail on I/O.
-    fn emit(&mut self, module: &ModName, def: &Def) -> Result<(), SpecError>;
+    fn emit(&mut self, module: ModName, def: Def) -> Result<(), SpecError>;
 }
 
 /// Collects residual definitions in memory.
@@ -55,8 +57,8 @@ impl MemorySink {
 }
 
 impl ModuleSink for MemorySink {
-    fn emit(&mut self, module: &ModName, def: &Def) -> Result<(), SpecError> {
-        self.modules.entry(*module).or_default().push(def.clone());
+    fn emit(&mut self, module: ModName, def: Def) -> Result<(), SpecError> {
+        self.modules.entry(module).or_default().push(def);
         Ok(())
     }
 }
@@ -124,13 +126,13 @@ impl FileSink {
 }
 
 impl ModuleSink for FileSink {
-    fn emit(&mut self, module: &ModName, def: &Def) -> Result<(), SpecError> {
-        if !self.bodies.contains_key(module) {
-            let f = fs::File::create(self.body_path(module))?;
-            self.bodies.insert(*module, f);
+    fn emit(&mut self, module: ModName, def: Def) -> Result<(), SpecError> {
+        if !self.bodies.contains_key(&module) {
+            let f = fs::File::create(self.body_path(&module))?;
+            self.bodies.insert(module, f);
         }
-        let f = self.bodies.get_mut(module).expect("just inserted");
-        writeln!(f, "{}", pretty_def(def, Some(module)))?;
+        let f = self.bodies.get_mut(&module).expect("just inserted");
+        writeln!(f, "{}", pretty_def(&def, Some(&module)))?;
         Ok(())
     }
 }
@@ -141,7 +143,7 @@ impl ModuleSink for FileSink {
 pub struct NullSink;
 
 impl ModuleSink for NullSink {
-    fn emit(&mut self, _module: &ModName, _def: &Def) -> Result<(), SpecError> {
+    fn emit(&mut self, _module: ModName, _def: Def) -> Result<(), SpecError> {
         Ok(())
     }
 }
@@ -158,19 +160,11 @@ pub struct ResidualProgram {
     pub imports: BTreeMap<ModName, BTreeSet<ModName>>,
 }
 
-/// Assembles residual modules: computes imports from the code, orders
-/// modules topologically and checks acyclicity.
-///
-/// # Errors
-///
-/// [`SpecError::CyclicResidualImports`] if the generated modules import
-/// each other cyclically.
-pub fn assemble(
-    modules: BTreeMap<ModName, Vec<Def>>,
-    entry: QualName,
-) -> Result<ResidualProgram, SpecError> {
-    let mut imports: BTreeMap<ModName, BTreeSet<ModName>> = BTreeMap::new();
-    for (name, defs) in &modules {
+/// Each module's imports, computed from its code: the modules of the
+/// functions its definitions call.
+pub fn imports_of(modules: &BTreeMap<ModName, Vec<Def>>) -> BTreeMap<ModName, BTreeSet<ModName>> {
+    let mut imports = BTreeMap::new();
+    for (name, defs) in modules {
         let mut set = BTreeSet::new();
         for d in defs {
             for q in d.body.called_functions() {
@@ -180,6 +174,25 @@ pub fn assemble(
             }
         }
         imports.insert(*name, set);
+    }
+    imports
+}
+
+/// Assembles residual modules under their imports (a module `imports`
+/// does not list imports nothing) and checks acyclicity.
+///
+/// # Errors
+///
+/// [`SpecError::CyclicResidualImports`] if the generated modules import
+/// each other cyclically.
+pub fn assemble(
+    modules: BTreeMap<ModName, Vec<Def>>,
+    mut imports: BTreeMap<ModName, BTreeSet<ModName>>,
+    entry: QualName,
+) -> Result<ResidualProgram, SpecError> {
+    imports.retain(|name, _| modules.contains_key(name));
+    for name in modules.keys() {
+        imports.entry(*name).or_default();
     }
     let program = Program::new(
         modules
@@ -213,8 +226,8 @@ mod tests {
     #[test]
     fn memory_sink_collects_in_order() {
         let mut s = MemorySink::new();
-        s.emit(&ModName::new("A"), &def("f_1", ["x"], var("x"))).unwrap();
-        s.emit(&ModName::new("A"), &def("f_2", ["x"], var("x"))).unwrap();
+        s.emit(ModName::new("A"), def("f_1", ["x"], var("x"))).unwrap();
+        s.emit(ModName::new("A"), def("f_2", ["x"], var("x"))).unwrap();
         assert_eq!(s.modules()[&ModName::new("A")].len(), 2);
     }
 
@@ -223,7 +236,8 @@ mod tests {
         let mut mods = BTreeMap::new();
         mods.insert(ModName::new("Main"), vec![def_calling("main_1", "Power", "power_1")]);
         mods.insert(ModName::new("Power"), vec![def("power_1", ["x"], var("x"))]);
-        let rp = assemble(mods, QualName::new("Main", "main_1")).unwrap();
+        let imports = imports_of(&mods);
+        let rp = assemble(mods, imports, QualName::new("Main", "main_1")).unwrap();
         assert_eq!(
             rp.imports[&ModName::new("Main")],
             [ModName::new("Power")].into()
@@ -238,7 +252,8 @@ mod tests {
         let mut mods = BTreeMap::new();
         mods.insert(ModName::new("A"), vec![def_calling("f", "B", "g")]);
         mods.insert(ModName::new("B"), vec![def_calling("g", "A", "f")]);
-        let err = assemble(mods, QualName::new("A", "f")).unwrap_err();
+        let imports = imports_of(&mods);
+        let err = assemble(mods, imports, QualName::new("A", "f")).unwrap_err();
         assert!(matches!(err, SpecError::CyclicResidualImports { .. }));
     }
 
@@ -248,7 +263,7 @@ mod tests {
         // exist. An assembled program has exactly the emitted modules.
         let mut mods = BTreeMap::new();
         mods.insert(ModName::new("OnlyOne"), vec![def("f", [], nat(1))]);
-        let rp = assemble(mods, QualName::new("OnlyOne", "f")).unwrap();
+        let rp = assemble(mods, BTreeMap::new(), QualName::new("OnlyOne", "f")).unwrap();
         assert_eq!(rp.program.modules.len(), 1);
     }
 
@@ -258,8 +273,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let mut sink = FileSink::new(&dir).unwrap();
         let m = ModName::new("Power");
-        sink.emit(&m, &def("power_1", ["x"], mul(var("x"), var("x")))).unwrap();
-        sink.emit(&m, &def("power_2", ["x"], qcall("Power", "power_1", [var("x")]))).unwrap();
+        sink.emit(m, def("power_1", ["x"], mul(var("x"), var("x")))).unwrap();
+        sink.emit(m, def("power_2", ["x"], qcall("Power", "power_1", [var("x")]))).unwrap();
         // Body temp file exists during pass one.
         assert!(dir.join("Power.body.tmp").exists());
         let mut imports = BTreeMap::new();
@@ -280,7 +295,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let mut sink = FileSink::new(&dir).unwrap();
         let m = ModName::new("Main");
-        sink.emit(&m, &def_calling("main_1", "Power", "power_1")).unwrap();
+        sink.emit(m, def_calling("main_1", "Power", "power_1")).unwrap();
         let mut imports = BTreeMap::new();
         imports.insert(m, [ModName::new("Power")].into());
         let files = sink.finish(&imports).unwrap();
@@ -292,6 +307,6 @@ mod tests {
     #[test]
     fn null_sink_accepts_everything() {
         let mut s = NullSink;
-        s.emit(&ModName::new("X"), &def("f", [], nat(1))).unwrap();
+        s.emit(ModName::new("X"), def("f", [], nat(1))).unwrap();
     }
 }

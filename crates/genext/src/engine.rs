@@ -19,22 +19,32 @@
 //!   more space efficient") and depth-first strategies, with the
 //!   accounting needed to reproduce that comparison.
 //!
+//! Evaluation is a loop over an explicit continuation stack (`Kont`):
+//! one turn enters an expression or hands a value to the top
+//! continuation. An unfold, a closure application and a depth-first
+//! construction push a frame and a continuation instead of a host call,
+//! so an unfold chain costs no host stack; the unfold depth is a budget
+//! resource instead ([`SpecBudget::max_unfold_depth`]). Calls reach
+//! their callee by the dense index linking gave them.
+//!
 //! Performance notes: a step that builds no data allocates nothing.
 //! Scalars travel inline in [`PVal`], so a literal, a variable lookup or
 //! a static primitive is a copy or one refcount bump. Every frame — a
 //! residual body under construction, an unfolded call, an applied
 //! closure — is a window of one value stack the engine owns, and `let`
-//! pushes onto its top; call arguments wait on a second reusable stack
-//! until the callee is entered. The memo table is probed by a structural
-//! hash computed during splitting ([`split_hashed`]); the full [`PKey`]
-//! skeletons are only compared on a hash collision.
+//! pushes onto its top; operands and call arguments wait on a second
+//! reusable stack until their siblings are evaluated. The memo table is
+//! probed by a structural hash computed during splitting
+//! ([`split_hashed`]); the full [`PKey`] skeletons are only compared on a
+//! hash collision. A finished definition is measured in one walk and
+//! moved into the sink.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::budget::{BudgetResource, CancelToken, Fuel, OnExhaustion, SpecBudget};
 use crate::emit::{assemble, MemorySink, ModuleSink, ResidualProgram};
 use crate::error::SpecError;
-use crate::gexp::{GCoerce, GenFn, GenProgram, GExp};
+use crate::gexp::{BtCode, FnId, GCoerce, GenFn, GenProgram, GExp};
 use crate::placement::Placer;
 use crate::value::{
     all_holes_hash, hash_fold, rebuild, split_hashed, Closure, PKey, PVal, SKELETON_SEED,
@@ -47,7 +57,6 @@ use mspec_lang::{FromJson, Json, JsonError, ToJson};
 use mspec_telemetry::{Decision, Recorder, SpecEvent};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Order in which discovered specialisations are constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,10 +216,11 @@ pub struct Provenance {
     pub formals: usize,
 }
 
-struct PendingSpec {
+struct PendingSpec<'p> {
     target: QualName,
+    callee: FnId,
     mask: BtMask,
-    env: Vec<PVal>,
+    env: Vec<PVal<'p>>,
     resid: QualName,
     formals: Vec<Ident>,
     /// Structural hash of the request's static skeleton (for budget
@@ -218,12 +228,93 @@ struct PendingSpec {
     hash: u64,
 }
 
+/// The frame an expression is evaluated in: its window of the value
+/// stack starts at `base`, its binding-time codes are read under `mask`,
+/// and `module` is the module its source occurs in (for closure
+/// identity).
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    base: usize,
+    mask: BtMask,
+    module: ModName,
+}
+
+/// What the engine does with the value of the expression it is
+/// evaluating: the continuation stack holds one per unfinished node.
+/// Operands that wait for a sibling are parked on the `temps` stack.
+enum Kont<'p> {
+    /// A unary primitive's operand returned.
+    Prim1 { op: PrimOp, code: &'p BtCode },
+    /// A binary primitive's first operand returned; evaluate `right`.
+    PrimLeft { op: PrimOp, code: &'p BtCode, right: &'p GExp },
+    /// A binary primitive's second operand returned.
+    PrimRight { op: PrimOp, code: &'p BtCode },
+    /// A conditional's test returned.
+    IfCond { code: &'p BtCode, then: &'p GExp, els: &'p GExp },
+    /// A dynamic conditional's then-branch returned; evaluate `els`.
+    IfThen { els: &'p GExp },
+    /// A dynamic conditional's else-branch returned.
+    IfElse,
+    /// Argument `next - 1` of a `GExp::Call` returned.
+    CallArg { call: &'p GExp, next: usize },
+    /// An application's function returned; evaluate `arg`.
+    AppFun { code: &'p BtCode, arg: &'p GExp },
+    /// An application's argument returned.
+    AppArg { code: &'p BtCode },
+    /// A `let`'s right-hand side returned; evaluate `body` over it.
+    LetRhs { body: &'p GExp },
+    /// A `let`'s body returned; its slot starts at `top`.
+    LetEnd { top: usize },
+    /// A coercion's operand returned.
+    Coerce { spec: &'p GCoerce },
+    /// An unfolded function's or an applied closure's body returned.
+    Return { caller: Frame, unfold: bool },
+    /// A dynamic conditional's branch returned; its [`Mark`] is the top
+    /// of the mark stack.
+    Branch,
+    /// The body of the innermost definition under construction returned.
+    Construct,
+}
+
+/// The state a dynamic branch returns to when an error raised in its
+/// body becomes failing code.
+struct Mark {
+    /// The position of the branch's [`Kont::Branch`].
+    kont: usize,
+    frame: Frame,
+    chain: usize,
+    stack: usize,
+    temps: usize,
+    depth: usize,
+    open: usize,
+}
+
+/// A residual definition whose body is being evaluated.
+struct Building<'p> {
+    target: QualName,
+    resid: QualName,
+    formals: Vec<Ident>,
+    hash: u64,
+    /// The frame the construction was started from.
+    caller: Frame,
+    /// The call expression to continue with once the definition is
+    /// emitted (depth-first), or `None` for a top-level construction.
+    result: Option<PVal<'p>>,
+}
+
+/// The engine's next move: evaluate an expression in the current frame,
+/// or hand a value to the top continuation.
+enum Step<'p> {
+    Eval(&'p GExp),
+    Value(PVal<'p>),
+}
+
 /// The specialisation engine over a linked [`GenProgram`].
 pub struct Engine<'p> {
     program: &'p GenProgram,
     options: EngineOptions,
     memo: HashMap<SpecKey, Vec<(Vec<PKey>, QualName)>>,
-    pending: VecDeque<PendingSpec>,
+    pending: VecDeque<PendingSpec<'p>>,
     placer: Placer,
     name_counters: HashMap<QualName, u32>,
     gensym: u64,
@@ -234,22 +325,33 @@ pub struct Engine<'p> {
     /// into [`SpecError::BudgetExhausted`] so a diverging cycle is
     /// visible in the error.
     chain: Vec<(QualName, u64)>,
+    /// Unfolds currently nested (bounded by
+    /// [`SpecBudget::max_unfold_depth`]).
+    depth: usize,
     stats: SpecStats,
     imports: BTreeMap<ModName, BTreeSet<ModName>>,
     provenance: Vec<Provenance>,
     recorder: Recorder,
-    /// External cancellation handle (deadline watchdogs, disconnecting
-    /// clients); polled on the step-fuel path. `None` = never cancelled.
+    /// External cancellation handle (a request deadline carried by the
+    /// token itself, a disconnecting client); polled at the loop head.
+    /// `None` = never cancelled.
     cancel: Option<CancelToken>,
     /// Residual definitions currently under construction, innermost
     /// last — the *parent* attribution for decision events (which
     /// residual body a request arose inside).
     resid_stack: Vec<QualName>,
-    /// The value stack: every frame is a window of it, starting at the
-    /// `base` that [`Engine::eval`] is given.
-    stack: Vec<PVal>,
-    /// Evaluated arguments of calls whose callee is not entered yet.
-    args: Vec<PVal>,
+    /// The value stack: every frame is a window of it.
+    stack: Vec<PVal<'p>>,
+    /// Evaluated operands and call arguments waiting for their siblings.
+    temps: Vec<PVal<'p>>,
+    /// The continuation stack.
+    konts: Vec<Kont<'p>>,
+    /// One [`Mark`] per [`Kont::Branch`] on the continuation stack.
+    marks: Vec<Mark>,
+    /// One entry per [`Kont::Construct`] on the continuation stack.
+    building: Vec<Building<'p>>,
+    /// The frame the current expression is evaluated in.
+    frame: Frame,
 }
 
 impl<'p> Engine<'p> {
@@ -278,6 +380,7 @@ impl<'p> Engine<'p> {
             open: 0,
             fuel: Fuel::new(options.budget.steps),
             chain: Vec::new(),
+            depth: 0,
             stats: SpecStats::default(),
             imports: BTreeMap::new(),
             provenance: Vec::new(),
@@ -285,15 +388,19 @@ impl<'p> Engine<'p> {
             cancel: None,
             resid_stack: Vec::new(),
             stack: Vec::new(),
-            args: Vec::new(),
+            temps: Vec::new(),
+            konts: Vec::new(),
+            marks: Vec::new(),
+            building: Vec::new(),
+            frame: Frame { base: 0, mask: BtMask::all_static(), module: ModName::new("") },
         }
     }
 
-    /// Attaches a [`CancelToken`]: when some other thread fires it, the
-    /// session aborts with [`SpecError::Cancelled`] at the next check
-    /// point (at most [`CancelToken::CHECK_MASK`]` + 1` steps later).
-    /// This is the hook wall-clock deadlines hang off — a watchdog owns
-    /// the clock, the engine only ever polls a flag.
+    /// Attaches a [`CancelToken`]: when some other thread fires it, or
+    /// the deadline it carries ([`CancelToken::with_deadline`]) passes,
+    /// the session aborts with [`SpecError::Cancelled`] at the next
+    /// check point (at most [`CancelToken::CHECK_MASK`]` + 1` steps
+    /// later). The engine reads the clock only there.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
@@ -367,7 +474,7 @@ impl<'p> Engine<'p> {
     ) -> Result<ResidualProgram, SpecError> {
         let mut sink = MemorySink::new();
         let entry_resid = self.specialise_streaming(entry, args, &mut sink)?;
-        assemble(sink.into_modules(), entry_resid)
+        assemble(sink.into_modules(), self.imports.clone(), entry_resid)
     }
 
     /// Specialises `entry`, streaming every finished residual definition
@@ -386,11 +493,16 @@ impl<'p> Engine<'p> {
         sink: &mut dyn ModuleSink,
     ) -> Result<QualName, SpecError> {
         let program = self.program;
-        let f = program.function(entry).ok_or(SpecError::UnknownEntry(*entry))?;
-        let (mask, vals) = entry_values(f, entry, &args)?;
+        let callee = program.fn_id(entry).ok_or(SpecError::UnknownEntry(*entry))?;
+        let f = program.function_at(callee).ok_or(SpecError::UnknownEntry(*entry))?;
+        let (mask, vals) = entry_values(f, entry, &args, self.options.budget.max_unfold_depth)?;
         // A session that failed leaves its frames behind.
         self.stack.clear();
-        self.args.clear();
+        self.temps.clear();
+        self.konts.clear();
+        self.marks.clear();
+        self.building.clear();
+        self.depth = 0;
 
         // The entry is always residualised (it is the program we are
         // generating), keeping its original name.
@@ -438,9 +550,11 @@ impl<'p> Engine<'p> {
         );
         let mut next = 0;
         let env = vals.iter().map(|v| rebuild(v, &formals, &mut next)).collect();
-        let spec = PendingSpec { target: *entry, mask, env, resid, formals, hash };
+        let spec = PendingSpec { target: *entry, callee, mask, env, resid, formals, hash };
         self.construct(spec, sink)?;
-        self.drain(sink)?;
+        while let Some(spec) = self.pending.pop_front() {
+            self.construct(spec, sink)?;
+        }
         self.flush_counters();
         Ok(resid)
     }
@@ -464,20 +578,25 @@ impl<'p> Engine<'p> {
         self.recorder.count_max("genext.peak_open", s.peak_open as u64);
     }
 
-    fn drain(&mut self, sink: &mut dyn ModuleSink) -> Result<(), SpecError> {
-        while let Some(spec) = self.pending.pop_front() {
-            self.construct(spec, sink)?;
-        }
-        Ok(())
-    }
-
-    /// Constructs one residual definition (and, depth-first, everything
-    /// it transitively requests).
+    /// Constructs one residual definition from the top level (and,
+    /// depth-first, everything it transitively requests).
     fn construct(
         &mut self,
-        spec: PendingSpec,
+        spec: PendingSpec<'p>,
         sink: &mut dyn ModuleSink,
     ) -> Result<(), SpecError> {
+        let kbase = self.konts.len();
+        let body = self.begin_construct(spec, None)?;
+        self.run(Step::Eval(body), kbase, sink).map(drop)
+    }
+
+    /// Opens a residual definition: its body is evaluated next, in a
+    /// frame holding `spec.env`, and [`Kont::Construct`] finishes it.
+    fn begin_construct(
+        &mut self,
+        spec: PendingSpec<'p>,
+        result: Option<PVal<'p>>,
+    ) -> Result<&'p GExp, SpecError> {
         self.open += 1;
         self.stats.peak_open = self.stats.peak_open.max(self.open);
         if self.options.on_exhaustion == OnExhaustion::Error
@@ -489,45 +608,119 @@ impl<'p> Engine<'p> {
         }
         let program = self.program;
         let f = program
-            .function(&spec.target)
+            .function_at(spec.callee)
             .ok_or(SpecError::UnknownFunction(spec.target))?;
         self.chain.push((spec.target, spec.hash));
         self.resid_stack.push(spec.resid);
         let base = self.stack.len();
         self.stack.extend(spec.env);
-        let result = self.eval(&f.body, base, spec.mask, spec.target.module, sink);
-        self.stack.truncate(base);
-        let body_expr = self.lift_owned(result?, sink)?;
-        let def = Def::new(spec.resid.name, spec.formals, body_expr);
+        self.building.push(Building {
+            target: spec.target,
+            resid: spec.resid,
+            formals: spec.formals,
+            hash: spec.hash,
+            caller: self.frame,
+            result,
+        });
+        self.konts.push(Kont::Construct);
+        self.frame = Frame { base, mask: spec.mask, module: spec.target.module };
+        Ok(&f.body)
+    }
+
+    /// Finishes the innermost open definition with its body's value:
+    /// measures it (size and imports in one walk) and emits it.
+    fn finish_construct(
+        &mut self,
+        body: PVal<'p>,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<Step<'p>, SpecError> {
+        let b = self.building.pop().ok_or_else(|| internal("no definition under construction"))?;
+        self.stack.truncate(self.frame.base);
+        self.frame = b.caller;
+        let body = self.lift_owned(body, sink)?;
+        let imports = self.imports.entry(b.resid.module).or_default();
+        let size = measure(&body, b.resid.module, imports);
         self.stats.specialisations += 1;
-        self.stats.residual_nodes += def.body.size();
+        self.stats.residual_nodes += size;
         if self.options.on_exhaustion == OnExhaustion::Error
             && self.stats.residual_nodes > self.options.budget.max_residual_nodes
         {
             return Err(
-                self.budget_error(BudgetResource::ResidualNodes, Some((spec.target, spec.hash)))
+                self.budget_error(BudgetResource::ResidualNodes, Some((b.target, b.hash)))
             );
         }
-        let imports = self.imports.entry(spec.resid.module).or_default();
-        for q in def.body.called_functions() {
-            if q.module != spec.resid.module {
-                imports.insert(q.module);
-            }
-        }
-        sink.emit(&spec.resid.module, &def)?;
+        sink.emit(b.resid.module, Def::new(b.resid.name, b.formals, body))?;
         self.stats.residual_modules = self.imports.len();
         self.resid_stack.pop();
         self.chain.pop();
         self.open -= 1;
-        Ok(())
+        Ok(Step::Value(b.result.unwrap_or(PVal::Nil)))
     }
 
-    /// Spends one unit of step fuel. Under [`OnExhaustion::Generalise`]
-    /// an empty meter is *not* an error here: evaluation between named
-    /// calls is structural and terminates on its own, and the next
-    /// `call` checks the budget and demotes. Erroring mid-evaluation
-    /// would leave no call site to generalise.
-    fn step(&mut self) -> Result<(), SpecError> {
+    /// Runs the engine from `next` until the continuation stack is back
+    /// at `kbase`, returning the last value. An error raised inside a
+    /// dynamic branch opened above `kbase` may become failing code
+    /// there ([`Engine::catch`]); any other error leaves the stack at
+    /// `kbase`.
+    fn run(
+        &mut self,
+        mut next: Step<'p>,
+        kbase: usize,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<PVal<'p>, SpecError> {
+        loop {
+            match self.steps(next, kbase, sink) {
+                Ok(v) => return Ok(v),
+                Err(err) => match self.catch(err, kbase) {
+                    Ok(v) => next = Step::Value(v),
+                    Err(err) => {
+                        self.konts.truncate(kbase);
+                        while self.marks.last().is_some_and(|m| m.kont >= kbase) {
+                            self.marks.pop();
+                        }
+                        return Err(err);
+                    }
+                },
+            }
+        }
+    }
+
+    /// The loop: one turn per expression entered or continuation
+    /// resumed, until the first error.
+    fn steps(
+        &mut self,
+        mut next: Step<'p>,
+        kbase: usize,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<PVal<'p>, SpecError> {
+        loop {
+            next = match next {
+                Step::Eval(e) => {
+                    self.tick()?;
+                    self.enter(e, sink)?
+                }
+                Step::Value(v) => {
+                    if self.konts.len() == kbase {
+                        return Ok(v);
+                    }
+                    match self.konts.pop() {
+                        Some(k) => self.resume(k, v, sink)?,
+                        None => return Err(internal("continuation stack underflow")),
+                    }
+                }
+            };
+        }
+    }
+
+    /// The loop head: spends one unit of step fuel, polls the cancel
+    /// token and checks the unfold depth. Under
+    /// [`OnExhaustion::Generalise`] neither an empty meter nor the depth
+    /// is an error here: evaluation between named calls is structural
+    /// and terminates on its own, and the next call checks the budget
+    /// and demotes. Erroring mid-evaluation would leave no call site to
+    /// generalise.
+    #[inline]
+    fn tick(&mut self) -> Result<(), SpecError> {
         self.stats.steps += 1;
         if self.stats.steps & CancelToken::CHECK_MASK == 0 {
             if let Some(token) = &self.cancel {
@@ -539,7 +732,37 @@ impl<'p> Engine<'p> {
         if !self.fuel.spend() && self.options.on_exhaustion == OnExhaustion::Error {
             return Err(self.budget_error(BudgetResource::Steps, None));
         }
+        if self.depth > self.options.budget.max_unfold_depth {
+            return Err(self.budget_error(BudgetResource::UnfoldDepth, None));
+        }
         Ok(())
+    }
+
+    /// Turns an error raised in a dynamic branch's body into the failing
+    /// code that branch stands for, and restores the state the branch
+    /// started from. Which branch runs is decided only at run time, so a
+    /// static run-time error — `head []`, division by zero — may sit in
+    /// dead code: the branch becomes residual code that raises the same
+    /// error if it is ever taken. Only the innermost branch above
+    /// `kbase` can catch, and only if no definition it requested
+    /// depth-first is still open (that definition would stay
+    /// unfinished, so the session fails); every other error propagates.
+    fn catch(&mut self, err: SpecError, kbase: usize) -> Result<PVal<'p>, SpecError> {
+        match self.marks.last() {
+            Some(m) if m.kont >= kbase && m.open == self.open => {}
+            _ => return Err(err),
+        }
+        let Some(code) = failing_code(&err) else {
+            return Err(err);
+        };
+        let mark = self.marks.pop().ok_or_else(|| internal("branch without a mark"))?;
+        self.konts.truncate(mark.kont);
+        self.chain.truncate(mark.chain);
+        self.stack.truncate(mark.stack);
+        self.temps.truncate(mark.temps);
+        self.depth = mark.depth;
+        self.frame = mark.frame;
+        Ok(PVal::code(code))
     }
 
     /// A [`SpecError::Cancelled`] naming the innermost in-flight request
@@ -567,6 +790,8 @@ impl<'p> Engine<'p> {
             Some(BudgetResource::Pending)
         } else if self.stats.residual_nodes >= b.max_residual_nodes {
             Some(BudgetResource::ResidualNodes)
+        } else if self.depth >= b.max_unfold_depth {
+            Some(BudgetResource::UnfoldDepth)
         } else {
             None
         }
@@ -574,7 +799,8 @@ impl<'p> Engine<'p> {
 
     /// Builds a [`SpecError::BudgetExhausted`] from the current request
     /// chain. `at` names the offending call; when the breach is detected
-    /// mid-evaluation (step fuel), the innermost chain frame stands in.
+    /// mid-evaluation (step fuel, unfold depth), the innermost chain
+    /// frame stands in.
     fn budget_error(
         &self,
         resource: BudgetResource,
@@ -594,12 +820,11 @@ impl<'p> Engine<'p> {
         Ident::new(format!("{base}'{}", self.gensym))
     }
 
-    /// Slot `i` of the frame starting at `base`: a copy or a refcount
-    /// bump.
+    /// Slot `i` of the current frame: a copy or a refcount bump.
     #[inline]
-    fn slot(&self, base: usize, i: u32) -> Result<PVal, SpecError> {
+    fn slot(&self, i: u32) -> Result<PVal<'p>, SpecError> {
         self.stack
-            .get(base + i as usize)
+            .get(self.frame.base + i as usize)
             .cloned()
             .ok_or_else(|| internal("environment slot outside the value stack"))
     }
@@ -629,23 +854,241 @@ impl<'p> Engine<'p> {
         self.memo.entry(SpecKey { target, mask: mask.0, hash }).or_default().push((keys, resid));
     }
 
-    /// `mk_resid` plus the unfold decision: the call side of §4.2. The
-    /// `arity` arguments are the top of the argument stack; an unfold
-    /// moves them onto the value stack as the callee's frame.
-    fn call(
+    /// Starts evaluating `e` in the current frame: a leaf gives its
+    /// value; any other node pushes the continuation that waits for its
+    /// first operand and names that operand.
+    fn enter(&mut self, e: &'p GExp, sink: &mut dyn ModuleSink) -> Result<Step<'p>, SpecError> {
+        Ok(match e {
+            GExp::Nat(n) => Step::Value(PVal::Nat(*n)),
+            GExp::Bool(b) => Step::Value(PVal::Bool(*b)),
+            GExp::Nil => Step::Value(PVal::Nil),
+            GExp::Var(i) => Step::Value(self.slot(*i)?),
+            GExp::Prim(op, code, args) => match args.as_slice() {
+                [a] => {
+                    self.konts.push(Kont::Prim1 { op: *op, code });
+                    Step::Eval(a)
+                }
+                [a, right] => {
+                    self.konts.push(Kont::PrimLeft { op: *op, code, right });
+                    Step::Eval(a)
+                }
+                _ => return Err(internal("primitive with neither one nor two operands")),
+            },
+            GExp::If(code, c, then, els) => {
+                self.konts.push(Kont::IfCond { code, then, els });
+                Step::Eval(c)
+            }
+            GExp::Call { args, .. } => match args.first() {
+                Some(a) => {
+                    self.konts.push(Kont::CallArg { call: e, next: 1 });
+                    Step::Eval(a)
+                }
+                None => self.call(e, sink)?,
+            },
+            GExp::Lam { param, body, captured, free_fns, lam_id } => {
+                let env = captured.iter().map(|s| self.slot(*s)).collect::<Result<Vec<_>, _>>()?;
+                Step::Value(PVal::Clo(Rc::new(Closure {
+                    param: *param,
+                    body,
+                    env,
+                    free_fns,
+                    lam_id: *lam_id,
+                    module: self.frame.module,
+                    mask: self.frame.mask,
+                })))
+            }
+            GExp::App(code, f, arg) => {
+                self.konts.push(Kont::AppFun { code, arg });
+                Step::Eval(f)
+            }
+            GExp::Let(rhs, body) => {
+                self.konts.push(Kont::LetRhs { body });
+                Step::Eval(rhs)
+            }
+            GExp::Coerce(spec, inner) => {
+                self.konts.push(Kont::Coerce { spec });
+                Step::Eval(inner)
+            }
+        })
+    }
+
+    /// Hands `v` to the continuation `k`.
+    fn resume(
         &mut self,
-        target: &QualName,
-        mask: BtMask,
-        arity: usize,
+        k: Kont<'p>,
+        v: PVal<'p>,
         sink: &mut dyn ModuleSink,
-    ) -> Result<PVal, SpecError> {
+    ) -> Result<Step<'p>, SpecError> {
+        let mask = self.frame.mask;
+        Ok(match k {
+            Kont::Prim1 { op, code } => Step::Value(self.prim(op, *code, v, None, sink)?),
+            Kont::PrimLeft { op, code, right } => {
+                self.temps.push(v);
+                self.konts.push(Kont::PrimRight { op, code });
+                Step::Eval(right)
+            }
+            Kont::PrimRight { op, code } => {
+                let a = self.park_pop()?;
+                Step::Value(self.prim(op, *code, a, Some(v), sink)?)
+            }
+            Kont::IfCond { code, then, els } => {
+                if code.is_dynamic(mask) {
+                    self.temps.push(v);
+                    self.konts.push(Kont::IfThen { els });
+                    self.open_branch();
+                    Step::Eval(then)
+                } else {
+                    match v {
+                        PVal::Bool(true) => Step::Eval(then),
+                        PVal::Bool(false) => Step::Eval(els),
+                        other => {
+                            return Err(SpecError::TypeConfusion(format!(
+                                "static conditional on non-boolean {other:?}"
+                            )))
+                        }
+                    }
+                }
+            }
+            Kont::IfThen { els } => {
+                self.temps.push(v);
+                self.konts.push(Kont::IfElse);
+                self.open_branch();
+                Step::Eval(els)
+            }
+            Kont::IfElse => {
+                let tv = self.park_pop()?;
+                let cv = self.park_pop()?;
+                Step::Value(PVal::code(Expr::If(
+                    Box::new(self.lift_owned(cv, sink)?),
+                    Box::new(self.lift_owned(tv, sink)?),
+                    Box::new(self.lift_owned(v, sink)?),
+                )))
+            }
+            Kont::Branch => {
+                self.marks.pop();
+                Step::Value(v)
+            }
+            Kont::CallArg { call, next } => {
+                self.temps.push(v);
+                match call {
+                    GExp::Call { args, .. } if next < args.len() => {
+                        self.konts.push(Kont::CallArg { call, next: next + 1 });
+                        Step::Eval(&args[next])
+                    }
+                    _ => self.call(call, sink)?,
+                }
+            }
+            Kont::AppFun { code, arg } => {
+                self.temps.push(v);
+                self.konts.push(Kont::AppArg { code });
+                Step::Eval(arg)
+            }
+            Kont::AppArg { code } => {
+                let fv = self.park_pop()?;
+                if code.is_dynamic(mask) {
+                    Step::Value(PVal::code(Expr::App(
+                        Box::new(self.lift_owned(fv, sink)?),
+                        Box::new(self.lift_owned(v, sink)?),
+                    )))
+                } else {
+                    match &fv {
+                        PVal::Clo(c) => Step::Eval(self.enter_closure(c, v)),
+                        other => {
+                            return Err(SpecError::TypeConfusion(format!(
+                                "static application of non-closure {other:?}"
+                            )))
+                        }
+                    }
+                }
+            }
+            Kont::LetRhs { body } => {
+                let top = self.stack.len();
+                self.stack.push(v);
+                self.konts.push(Kont::LetEnd { top });
+                Step::Eval(body)
+            }
+            Kont::LetEnd { top } => {
+                self.stack.truncate(top);
+                Step::Value(v)
+            }
+            Kont::Coerce { spec } => Step::Value(self.coerce(spec, v, mask, sink)?),
+            Kont::Return { caller, unfold } => {
+                self.stack.truncate(self.frame.base);
+                self.frame = caller;
+                if unfold {
+                    self.chain.pop();
+                    self.depth -= 1;
+                }
+                Step::Value(v)
+            }
+            Kont::Construct => self.finish_construct(v, sink)?,
+        })
+    }
+
+    /// The most recently parked operand.
+    fn park_pop(&mut self) -> Result<PVal<'p>, SpecError> {
+        self.temps.pop().ok_or_else(|| internal("operand stack underflow"))
+    }
+
+    /// Opens a dynamic branch: errors raised before it returns may
+    /// become failing code ([`Engine::catch`]).
+    fn open_branch(&mut self) {
+        self.marks.push(Mark {
+            kont: self.konts.len(),
+            frame: self.frame,
+            chain: self.chain.len(),
+            stack: self.stack.len(),
+            temps: self.temps.len(),
+            depth: self.depth,
+            open: self.open,
+        });
+        self.konts.push(Kont::Branch);
+    }
+
+    /// `mk_op`: performs a static primitive, or builds residual code
+    /// when its binding time is dynamic. `b` is a binary primitive's
+    /// second operand.
+    fn prim(
+        &mut self,
+        op: PrimOp,
+        code: BtCode,
+        a: PVal<'p>,
+        b: Option<PVal<'p>>,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<PVal<'p>, SpecError> {
+        if code.is_dynamic(self.frame.mask) {
+            let mut lifted = Vec::with_capacity(1 + usize::from(b.is_some()));
+            lifted.push(self.lift_owned(a, sink)?);
+            if let Some(b) = b {
+                lifted.push(self.lift_owned(b, sink)?);
+            }
+            Ok(PVal::code(Expr::Prim(op, lifted)))
+        } else {
+            static_prim(op, a, b)
+        }
+    }
+
+    /// `mk_resid` plus the unfold decision: the call side of §4.2. The
+    /// call's arguments are the top of the operand stack; an unfold
+    /// moves them onto the value stack as the callee's frame and goes on
+    /// with the callee's body.
+    fn call(&mut self, call: &'p GExp, sink: &mut dyn ModuleSink) -> Result<Step<'p>, SpecError> {
+        let GExp::Call { target, callee, inst, args } = call else {
+            return Err(internal("call continuation on a non-call"));
+        };
+        let mut mask = BtMask::all_static();
+        for (i, code) in inst.iter().enumerate() {
+            if code.is_dynamic(self.frame.mask) {
+                mask = mask.set_dynamic(i as u32);
+            }
+        }
         let program = self.program;
-        let f = program.function(target).ok_or(SpecError::UnknownFunction(*target))?;
+        let f = program.function_at(*callee).ok_or(SpecError::UnknownFunction(*target))?;
         debug_assert!(f.sig.satisfies(mask), "instantiation violated {target}'s constraints");
         let start = self
-            .args
+            .temps
             .len()
-            .checked_sub(arity)
+            .checked_sub(args.len())
             .ok_or_else(|| internal("argument stack underflow"))?;
         // Budget gate: every divergence passes through here (recursion
         // in the object language is only via named calls), so this one
@@ -653,10 +1096,10 @@ impl<'p> Engine<'p> {
         if self.options.on_exhaustion == OnExhaustion::Generalise
             && self.budget_breached().is_some()
         {
-            let args = self.args.split_off(start);
-            return self.generalise(target, args, sink);
+            let args = self.temps.split_off(start);
+            return self.generalise(target, *callee, f, args, sink);
         }
-        if f.sig.unfoldable_under(mask) {
+        if !f.unfold.is_dynamic(mask) {
             self.stats.unfolds += 1;
             if self.recorder.is_enabled() {
                 let witness = format!(
@@ -676,17 +1119,30 @@ impl<'p> Engine<'p> {
                 );
             }
             let base = self.stack.len();
-            self.stack.extend(self.args.drain(start..));
+            self.stack.extend(self.temps.drain(start..));
             self.chain.push((*target, 0));
-            let r = self.eval(&f.body, base, mask, target.module, sink);
-            self.stack.truncate(base);
-            let r = r?;
-            self.chain.pop();
-            return Ok(r);
+            self.depth += 1;
+            self.konts.push(Kont::Return { caller: self.frame, unfold: true });
+            self.frame = Frame { base, mask, module: target.module };
+            return Ok(Step::Eval(&f.body));
         }
 
-        // Residualise: split arguments, memoise on the static skeleton.
-        let args = self.args.split_off(start);
+        let args = self.temps.split_off(start);
+        self.residualise(target, *callee, f, mask, args)
+    }
+
+    /// `mk_resid` for a call that is not unfolded: split the arguments
+    /// and memoise on the static skeleton. A memo hit is a residual call;
+    /// a new specialisation is queued (breadth-first) or started
+    /// (depth-first).
+    fn residualise(
+        &mut self,
+        target: &QualName,
+        callee: FnId,
+        f: &'p GenFn,
+        mask: BtMask,
+        args: Vec<PVal<'p>>,
+    ) -> Result<Step<'p>, SpecError> {
         let mut leaves = Vec::new();
         let mut keys = Vec::with_capacity(args.len());
         let mut leaf_names: Vec<Ident> = Vec::new();
@@ -720,11 +1176,11 @@ impl<'p> Engine<'p> {
                 Some(&resid),
                 String::new(),
             );
-            return Ok(PVal::code(Expr::Call(CallName::from(resid), leaves)));
+            return Ok(Step::Value(PVal::code(Expr::Call(CallName::from(resid), leaves))));
         }
 
         // New specialisation: name it, place it (§5: at first call,
-        // before the body exists), then queue or recurse.
+        // before the body exists), then queue or construct it.
         if self.provenance.len() >= self.options.budget.max_specialisations {
             return Err(
                 self.budget_error(BudgetResource::Specialisations, Some((*target, hash)))
@@ -753,6 +1209,7 @@ impl<'p> Engine<'p> {
         let env = args.iter().map(|a| rebuild(a, &formals, &mut next)).collect();
         let spec = PendingSpec {
             target: *target,
+            callee,
             mask,
             env,
             resid,
@@ -775,6 +1232,7 @@ impl<'p> Engine<'p> {
                 ),
             );
         }
+        let code = PVal::code(Expr::Call(CallName::from(resid), leaves));
         match self.options.strategy {
             Strategy::BreadthFirst => {
                 if self.pending.len() >= self.options.budget.max_pending {
@@ -785,10 +1243,10 @@ impl<'p> Engine<'p> {
                 self.pending.push_back(spec);
                 self.stats.peak_pending = self.stats.peak_pending.max(self.pending.len());
                 self.recorder.observe("genext.pending_depth", self.pending.len() as u64);
+                Ok(Step::Value(code))
             }
-            Strategy::DepthFirst => self.construct(spec, sink)?,
+            Strategy::DepthFirst => Ok(Step::Eval(self.begin_construct(spec, Some(code))?)),
         }
-        Ok(PVal::code(Expr::Call(CallName::from(resid), leaves)))
     }
 
     /// Generalising fallback: demote `target` to a fully-dynamic
@@ -808,11 +1266,11 @@ impl<'p> Engine<'p> {
     fn generalise(
         &mut self,
         target: &QualName,
-        args: Vec<PVal>,
+        callee: FnId,
+        f: &'p GenFn,
+        args: Vec<PVal<'p>>,
         sink: &mut dyn ModuleSink,
-    ) -> Result<PVal, SpecError> {
-        let program = self.program;
-        let f = program.function(target).ok_or(SpecError::UnknownFunction(*target))?;
+    ) -> Result<Step<'p>, SpecError> {
         let mask = BtMask::all_dynamic(f.sig.vars);
         let mut leaves = Vec::with_capacity(args.len());
         for a in args {
@@ -832,7 +1290,7 @@ impl<'p> Engine<'p> {
                 Some(&resid),
                 String::new(),
             );
-            return Ok(PVal::code(Expr::Call(CallName::from(resid), leaves)));
+            return Ok(Step::Value(PVal::code(Expr::Call(CallName::from(resid), leaves))));
         }
         self.stats.generalised += 1;
         let counter = self.name_counters.entry(*target).or_insert(0);
@@ -875,197 +1333,54 @@ impl<'p> Engine<'p> {
             );
         }
         let env = formals.iter().map(|x| PVal::code(Expr::Var(*x))).collect();
-        let spec = PendingSpec { target: *target, mask, env, resid, formals, hash };
+        let spec = PendingSpec { target: *target, callee, mask, env, resid, formals, hash };
+        let code = PVal::code(Expr::Call(CallName::from(resid), leaves));
         match self.options.strategy {
             Strategy::BreadthFirst => {
                 self.pending.push_back(spec);
                 self.stats.peak_pending = self.stats.peak_pending.max(self.pending.len());
                 self.recorder.observe("genext.pending_depth", self.pending.len() as u64);
+                Ok(Step::Value(code))
             }
-            Strategy::DepthFirst => self.construct(spec, sink)?,
-        }
-        Ok(PVal::code(Expr::Call(CallName::from(resid), leaves)))
-    }
-
-    /// Evaluates a generating-extension expression under a binding-time
-    /// mask, in the frame that starts at `base` on the value stack.
-    /// `module` is the module the expression's source occurs in (for
-    /// closure identity and placement).
-    fn eval(
-        &mut self,
-        e: &GExp,
-        base: usize,
-        mask: BtMask,
-        module: ModName,
-        sink: &mut dyn ModuleSink,
-    ) -> Result<PVal, SpecError> {
-        self.step()?;
-        match e {
-            GExp::Nat(n) => Ok(PVal::Nat(*n)),
-            GExp::Bool(b) => Ok(PVal::Bool(*b)),
-            GExp::Nil => Ok(PVal::Nil),
-            GExp::Var(i) => self.slot(base, *i),
-            GExp::Prim(op, code, args) => {
-                let (a, b) = match args.as_slice() {
-                    [a] => (self.eval(a, base, mask, module, sink)?, None),
-                    [a, b] => {
-                        let a = self.eval(a, base, mask, module, sink)?;
-                        (a, Some(self.eval(b, base, mask, module, sink)?))
-                    }
-                    _ => return Err(internal("primitive with neither one nor two operands")),
-                };
-                if code.is_dynamic(mask) {
-                    let mut lifted = Vec::with_capacity(args.len());
-                    lifted.push(self.lift_owned(a, sink)?);
-                    if let Some(b) = b {
-                        lifted.push(self.lift_owned(b, sink)?);
-                    }
-                    Ok(PVal::code(Expr::Prim(*op, lifted)))
-                } else {
-                    static_prim(*op, a, b)
-                }
-            }
-            GExp::If(code, c, t, f) => {
-                let cv = self.eval(c, base, mask, module, sink)?;
-                if code.is_dynamic(mask) {
-                    let tv = self.eval_branch(t, base, mask, module, sink)?;
-                    let fv = self.eval_branch(f, base, mask, module, sink)?;
-                    Ok(PVal::code(Expr::If(
-                        Box::new(self.lift_owned(cv, sink)?),
-                        Box::new(self.lift_owned(tv, sink)?),
-                        Box::new(self.lift_owned(fv, sink)?),
-                    )))
-                } else {
-                    match cv {
-                        PVal::Bool(true) => self.eval(t, base, mask, module, sink),
-                        PVal::Bool(false) => self.eval(f, base, mask, module, sink),
-                        other => Err(SpecError::TypeConfusion(format!(
-                            "static conditional on non-boolean {other:?}"
-                        ))),
-                    }
-                }
-            }
-            GExp::Call { target, inst, args } => {
-                let mut callee_mask = BtMask::all_static();
-                for (i, code) in inst.iter().enumerate() {
-                    if code.is_dynamic(mask) {
-                        callee_mask = callee_mask.set_dynamic(i as u32);
-                    }
-                }
-                for a in args {
-                    let v = self.eval(a, base, mask, module, sink)?;
-                    self.args.push(v);
-                }
-                self.call(target, callee_mask, args.len(), sink)
-            }
-            GExp::Lam { param, body, captured, free_fns, lam_id } => {
-                let env = captured
-                    .iter()
-                    .map(|s| self.slot(base, *s))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(PVal::Clo(Rc::new(Closure {
-                    param: *param,
-                    body: Arc::clone(body),
-                    env,
-                    free_fns: Arc::clone(free_fns),
-                    lam_id: *lam_id,
-                    module,
-                    mask,
-                })))
-            }
-            GExp::App(code, f, a) => {
-                let fv = self.eval(f, base, mask, module, sink)?;
-                let av = self.eval(a, base, mask, module, sink)?;
-                if code.is_dynamic(mask) {
-                    Ok(PVal::code(Expr::App(
-                        Box::new(self.lift_owned(fv, sink)?),
-                        Box::new(self.lift_owned(av, sink)?),
-                    )))
-                } else {
-                    match &fv {
-                        PVal::Clo(c) => self.apply_closure(c, av, sink),
-                        other => Err(SpecError::TypeConfusion(format!(
-                            "static application of non-closure {other:?}"
-                        ))),
-                    }
-                }
-            }
-            GExp::Let(rhs, body) => {
-                let v = self.eval(rhs, base, mask, module, sink)?;
-                let top = self.stack.len();
-                self.stack.push(v);
-                let r = self.eval(body, base, mask, module, sink);
-                self.stack.truncate(top);
-                r
-            }
-            GExp::Coerce(spec, inner) => {
-                let v = self.eval(inner, base, mask, module, sink)?;
-                self.coerce(spec, v, mask, sink)
-            }
+            Strategy::DepthFirst => Ok(Step::Eval(self.begin_construct(spec, Some(code))?)),
         }
     }
 
-    /// Evaluates one branch of a dynamic conditional. Which branch runs
-    /// is decided only at run time, so a static run-time error raised
-    /// while specialising the branch — `head []`, division by zero —
-    /// may sit in dead code: the branch becomes residual code that
-    /// raises the same error if it is ever taken. Only an error raised
-    /// in this body is turned into code, not one raised while
-    /// constructing a residual definition the branch requested
-    /// depth-first (that definition would stay unfinished, so the
-    /// session fails as before); every other error propagates.
-    fn eval_branch(
-        &mut self,
-        e: &GExp,
-        base: usize,
-        mask: BtMask,
-        module: ModName,
-        sink: &mut dyn ModuleSink,
-    ) -> Result<PVal, SpecError> {
-        let (chain, open) = (self.chain.len(), self.open);
-        let (stack, args) = (self.stack.len(), self.args.len());
-        match self.eval(e, base, mask, module, sink) {
-            Err(err) if self.open == open => match failing_code(&err) {
-                Some(code) => {
-                    // Unfolds cut short by the error leave their frames
-                    // and their evaluated arguments.
-                    self.chain.truncate(chain);
-                    self.stack.truncate(stack);
-                    self.args.truncate(args);
-                    Ok(PVal::code(code))
-                }
-                None => Err(err),
-            },
-            r => r,
-        }
-    }
-
-    /// Unfolds a static closure: evaluates its generating function on the
-    /// argument, under the closure's *origin* mask (its binding times
-    /// refer to the signature variables of the function it was written
-    /// in). The frame is the captured values followed by the argument.
-    fn apply_closure(
-        &mut self,
-        c: &Closure,
-        arg: PVal,
-        sink: &mut dyn ModuleSink,
-    ) -> Result<PVal, SpecError> {
+    /// Enters a static closure's body: a frame of the captured values
+    /// followed by the argument, under the closure's *origin* mask (its
+    /// binding times refer to the signature variables of the function it
+    /// was written in). The body's value returns through
+    /// [`Kont::Return`].
+    fn enter_closure(&mut self, c: &Closure<'p>, arg: PVal<'p>) -> &'p GExp {
+        self.konts.push(Kont::Return { caller: self.frame, unfold: false });
         let base = self.stack.len();
         self.stack.extend(c.env.iter().cloned());
         self.stack.push(arg);
-        let r = self.eval(&c.body, base, c.mask, c.module, sink);
-        self.stack.truncate(base);
-        r
+        self.frame = Frame { base, mask: c.mask, module: c.module };
+        c.body
+    }
+
+    /// Applies a static closure outside the loop (eta-expansion while
+    /// lifting): runs the engine until its body has returned.
+    fn apply_closure(
+        &mut self,
+        c: &Closure<'p>,
+        arg: PVal<'p>,
+        sink: &mut dyn ModuleSink,
+    ) -> Result<PVal<'p>, SpecError> {
+        let kbase = self.konts.len();
+        let body = self.enter_closure(c, arg);
+        self.run(Step::Eval(body), kbase, sink)
     }
 
     /// Applies a compiled coercion to a value.
     fn coerce(
         &mut self,
         spec: &GCoerce,
-        v: PVal,
+        v: PVal<'p>,
         mask: BtMask,
         sink: &mut dyn ModuleSink,
-    ) -> Result<PVal, SpecError> {
+    ) -> Result<PVal<'p>, SpecError> {
         match spec {
             GCoerce::Id => Ok(v),
             GCoerce::Base { from, to } | GCoerce::Fun { from, to } => {
@@ -1089,25 +1404,32 @@ impl<'p> Engine<'p> {
         }
     }
 
+    /// Coerces every element of a static spine, walking it in a loop.
     fn coerce_spine(
         &mut self,
         elem: &GCoerce,
-        v: PVal,
+        v: PVal<'p>,
         mask: BtMask,
         sink: &mut dyn ModuleSink,
-    ) -> Result<PVal, SpecError> {
-        match v {
-            PVal::Nil => Ok(PVal::Nil),
-            PVal::Cons(c) => {
-                let (h, t) = Rc::try_unwrap(c).unwrap_or_else(|c| (c.0.clone(), c.1.clone()));
-                let h2 = self.coerce(elem, h, mask, sink)?;
-                let t2 = self.coerce_spine(elem, t, mask, sink)?;
-                Ok(PVal::cons(h2, t2))
+    ) -> Result<PVal<'p>, SpecError> {
+        let mut heads = Vec::new();
+        let mut rest = v;
+        loop {
+            match rest {
+                PVal::Nil => break,
+                PVal::Cons(c) => {
+                    let (h, t) = Rc::try_unwrap(c).unwrap_or_else(|c| (c.0.clone(), c.1.clone()));
+                    heads.push(self.coerce(elem, h, mask, sink)?);
+                    rest = t;
+                }
+                other => {
+                    return Err(SpecError::TypeConfusion(format!(
+                        "static-spine coercion applied to {other:?}"
+                    )))
+                }
             }
-            other => Err(SpecError::TypeConfusion(format!(
-                "static-spine coercion applied to {other:?}"
-            ))),
         }
+        Ok(heads.into_iter().rev().fold(PVal::Nil, |tail, h| PVal::cons(h, tail)))
     }
 
     /// Lifts an owned value, reclaiming the inner expression without a
@@ -1115,7 +1437,7 @@ impl<'p> Engine<'p> {
     /// freshly built code).
     fn lift_owned(
         &mut self,
-        v: PVal,
+        v: PVal<'p>,
         sink: &mut dyn ModuleSink,
     ) -> Result<Expr, SpecError> {
         match v {
@@ -1124,19 +1446,27 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Lifts a value to residual code: literals for data, eta-expansion
-    /// for static closures (specialising the closure body with a fresh
-    /// dynamic variable).
-    fn lift(&mut self, v: &PVal, sink: &mut dyn ModuleSink) -> Result<Expr, SpecError> {
+    /// Lifts a value to residual code: literals for data (a spine in a
+    /// loop), eta-expansion for static closures (specialising the
+    /// closure body with a fresh dynamic variable).
+    fn lift(&mut self, v: &PVal<'p>, sink: &mut dyn ModuleSink) -> Result<Expr, SpecError> {
         match v {
             PVal::Code(e) => Ok((**e).clone()),
             PVal::Nat(n) => Ok(Expr::Nat(*n)),
             PVal::Bool(b) => Ok(Expr::Bool(*b)),
             PVal::Nil => Ok(Expr::Nil),
-            PVal::Cons(c) => {
-                let h2 = self.lift(&c.0, sink)?;
-                let t2 = self.lift(&c.1, sink)?;
-                Ok(Expr::Prim(PrimOp::Cons, vec![h2, t2]))
+            PVal::Cons(_) => {
+                let mut heads = Vec::new();
+                let mut rest = v;
+                while let PVal::Cons(c) = rest {
+                    heads.push(self.lift(&c.0, sink)?);
+                    rest = &c.1;
+                }
+                let tail = self.lift(rest, sink)?;
+                Ok(heads
+                    .into_iter()
+                    .rev()
+                    .fold(tail, |tail, h| Expr::Prim(PrimOp::Cons, vec![h, tail])))
             }
             PVal::Clo(c) => {
                 let x = self.fresh(c.param);
@@ -1148,15 +1478,47 @@ impl<'p> Engine<'p> {
     }
 }
 
+/// The number of nodes in a residual body; adds the module of every
+/// function it calls, other than `home`, to `imports`. One walk, in a
+/// loop: a residual is as deep as the unfold chain that built it.
+fn measure(body: &Expr, home: ModName, imports: &mut BTreeSet<ModName>) -> usize {
+    let mut size = 0;
+    let mut todo = vec![body];
+    while let Some(e) = todo.pop() {
+        size += 1;
+        match e {
+            Expr::Nat(_) | Expr::Bool(_) | Expr::Nil | Expr::Var(_) => {}
+            Expr::Prim(_, args) => todo.extend(args),
+            Expr::Call(target, args) => {
+                if let Some(q) = target.qualified_opt() {
+                    if q.module != home {
+                        imports.insert(q.module);
+                    }
+                }
+                todo.extend(args);
+            }
+            Expr::If(c, t, f) => todo.extend([&**c, &**t, &**f]),
+            Expr::Lam(_, b) => todo.push(b),
+            Expr::App(a, b) | Expr::Let(_, a, b) => todo.extend([&**a, &**b]),
+        }
+    }
+    size
+}
+
 /// The entry function's argument values and the binding-time mask the
 /// request induces. Dynamic positions reference the residual entry's
 /// formal parameters by their original names; a static spine of `n`
-/// elements becomes `n` formals named after the parameter.
-fn entry_values(
+/// elements becomes `n` formals named after the parameter. A static
+/// argument nesting cons cells deeper than `max_depth`, or a static
+/// spine longer, is refused before it is converted: every walk over a
+/// partial value, and over the residual it becomes, recurses once per
+/// cell.
+fn entry_values<'p>(
     f: &GenFn,
     entry: &QualName,
     args: &[SpecArg],
-) -> Result<(BtMask, Vec<PVal>), SpecError> {
+    max_depth: usize,
+) -> Result<(BtMask, Vec<PVal<'p>>), SpecError> {
     if f.params.len() != args.len() {
         return Err(SpecError::EntryArity {
             entry: *entry,
@@ -1176,16 +1538,30 @@ fn entry_values(
     let mask = division
         .mask_for(&f.sig)
         .map_err(|e| SpecError::TypeConfusion(e.to_string()))?;
+    let too_deep = || SpecError::BudgetExhausted {
+        resource: BudgetResource::UnfoldDepth,
+        witness: *entry,
+        skeleton_hash: 0,
+        chain: Vec::new(),
+    };
     let mut vals = Vec::with_capacity(args.len());
     for (a, p) in args.iter().zip(&f.params) {
         vals.push(match a {
-            SpecArg::Static(v) => PVal::from_value(v).ok_or_else(|| {
-                SpecError::TypeConfusion(format!(
-                    "closure values cannot be specialisation inputs (parameter {p})"
-                ))
-            })?,
+            SpecArg::Static(v) => {
+                if cons_depth_exceeds(v, max_depth) {
+                    return Err(too_deep());
+                }
+                PVal::from_value(v).ok_or_else(|| {
+                    SpecError::TypeConfusion(format!(
+                        "closure values cannot be specialisation inputs (parameter {p})"
+                    ))
+                })?
+            }
             SpecArg::Dynamic => PVal::code(Expr::Var(*p)),
             SpecArg::StaticSpine(n) => {
+                if *n > max_depth {
+                    return Err(too_deep());
+                }
                 let mut list = PVal::Nil;
                 for i in (0..*n).rev() {
                     let name = Ident::new(format!("{p}{i}"));
@@ -1198,6 +1574,23 @@ fn entry_values(
     Ok((mask, vals))
 }
 
+/// Whether some path through `v`'s cons cells, heads and tails alike,
+/// is longer than `limit`. Walks in a loop and stops at the first such
+/// cell.
+fn cons_depth_exceeds(v: &Value, limit: usize) -> bool {
+    let mut todo = vec![(v, 0usize)];
+    while let Some((v, depth)) = todo.pop() {
+        if let Value::Cons(h, t) = v {
+            if depth == limit {
+                return true;
+            }
+            todo.push((h, depth + 1));
+            todo.push((t, depth + 1));
+        }
+    }
+    false
+}
+
 /// An engine invariant broken, e.g. by a malformed generating extension.
 fn internal(what: &str) -> SpecError {
     SpecError::TypeConfusion(format!("engine internal error: {what}"))
@@ -1206,8 +1599,9 @@ fn internal(what: &str) -> SpecError {
 /// Residual code of any type that fails at run time with the error a
 /// static primitive raised at specialisation time: `head []`,
 /// `head (tail [])` or `head (if 0 / 0 == 0 then [] else [])`. `None`
-/// for every other error.
-fn failing_code(err: &SpecError) -> Option<Expr> {
+/// for every other error. The engine and the `mix` baseline put it in
+/// place of a dynamic branch whose body raised such an error.
+pub fn failing_code(err: &SpecError) -> Option<Expr> {
     let prim = |op, arg| Expr::Prim(op, vec![arg]);
     let list = match err {
         SpecError::EmptyList("head") => Expr::Nil,
@@ -1224,16 +1618,16 @@ fn failing_code(err: &SpecError) -> Option<Expr> {
 
 /// Performs a static primitive on partial values: `b` is the second
 /// operand of a binary primitive, `None` for a unary one.
-fn static_prim(op: PrimOp, a: PVal, b: Option<PVal>) -> Result<PVal, SpecError> {
+fn static_prim<'p>(op: PrimOp, a: PVal<'p>, b: Option<PVal<'p>>) -> Result<PVal<'p>, SpecError> {
     use PrimOp::*;
-    let nat = |v: &PVal| match v {
+    let nat = |v: &PVal<'p>| match v {
         PVal::Nat(n) => Ok(*n),
         other => Err(SpecError::TypeConfusion(format!(
             "static {} on non-natural {other:?}",
             op.symbol()
         ))),
     };
-    let boolean = |v: &PVal| match v {
+    let boolean = |v: &PVal<'p>| match v {
         PVal::Bool(b) => Ok(*b),
         other => Err(SpecError::TypeConfusion(format!(
             "static {} on non-boolean {other:?}",

@@ -107,6 +107,12 @@ impl fmt::Display for SpecError {
                         "residual program size budget exhausted at `{witness}`: \
                          the residual program is blowing up"
                     )?,
+                    BudgetResource::UnfoldDepth => write!(
+                        f,
+                        "unfold depth budget exhausted at `{witness}`: too many nested \
+                         unfolds, or too long a static list, for the residual to stay \
+                         shallow enough to print and run"
+                    )?,
                 }
                 write!(f, " [skeleton {skeleton_hash:016x}]")?;
                 if !chain.is_empty() {

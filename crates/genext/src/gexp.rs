@@ -15,6 +15,9 @@
 //!
 //! [`GenModule`]s serialise to `.gx` files: the paper's "compiled
 //! generating extension of a module", linkable without any source code.
+//! Linking numbers every function densely; a function is *resolved* the
+//! first time it is looked up — each of its calls is given its callee's
+//! index — so an unfold at specialisation time is an array access.
 
 use crate::error::SpecError;
 use mspec_bta::{BtMask, BtSignature, BtTerm, CoerceSpec};
@@ -23,7 +26,15 @@ use mspec_lang::modgraph::ModGraph;
 use mspec_lang::{FromJson, Json, JsonError, Module, Program, ToJson};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// The dense index of a linked function ([`GenProgram::fn_id`]).
+pub type FnId = u32;
+
+/// The callee of a [`GExp::Call`] that is not resolved (yet): compiled
+/// and decoded calls carry it until their function is linked, and a
+/// call to a function no linked module defines keeps it.
+pub const UNRESOLVED: FnId = FnId::MAX;
 
 /// A compiled binding-time term: evaluating it against a call's
 /// [`BtMask`] costs one AND and one OR.
@@ -50,6 +61,19 @@ impl BtCode {
     pub fn compile(term: &BtTerm) -> BtCode {
         let (forced, bits) = term.bits();
         BtCode { forced, bits }
+    }
+
+    /// Compiles a term read from an artefact, where a variable past the
+    /// 128-bit mask cannot be trusted away: it reads as `D`.
+    fn compile_untrusted(term: &BtTerm) -> BtCode {
+        let mut code = BtCode { forced: term.is_d(), bits: 0 };
+        for v in term.vars() {
+            match 1u128.checked_shl(v) {
+                Some(bit) => code.bits |= bit,
+                None => code.forced = true,
+            }
+        }
+        code
     }
 
     /// `true` if the term evaluates to `D` under the mask.
@@ -151,6 +175,9 @@ pub enum GExp {
     Call {
         /// The callee.
         target: QualName,
+        /// The callee's [`FnId`] in the program the enclosing function
+        /// is linked into; [`UNRESOLVED`] before that. Not serialised.
+        callee: FnId,
         /// Signature instantiation, one code per callee variable.
         inst: Vec<BtCode>,
         /// Argument expressions.
@@ -206,6 +233,18 @@ pub struct GenFn {
     pub sig: BtSignature,
     /// The compiled body.
     pub body: Arc<GExp>,
+    /// The signature's unfold term, compiled: a call under mask `m` is
+    /// unfolded iff `!unfold.is_dynamic(m)`. Derived, not serialised.
+    pub unfold: BtCode,
+}
+
+impl GenFn {
+    /// A function's generating extension, its unfold test compiled from
+    /// the signature.
+    pub fn new(name: QualName, params: Vec<Ident>, sig: BtSignature, body: GExp) -> GenFn {
+        let unfold = BtCode::compile_untrusted(&sig.unfold);
+        GenFn { name, params, sig, body: Arc::new(body), unfold }
+    }
 }
 
 /// The generating extension of one module — what the `.gx` file holds.
@@ -344,7 +383,7 @@ impl ToJson for GExp {
                     e.to_json_value(),
                 ]),
             )]),
-            GExp::Call { target, inst, args } => Json::obj([(
+            GExp::Call { target, inst, args, .. } => Json::obj([(
                 "call",
                 Json::Arr(vec![target.to_json_value(), inst.to_json_value(), args.to_json_value()]),
             )]),
@@ -414,6 +453,7 @@ impl FromJson for GExp {
                 let p = arity(v, 3, "call")?;
                 Ok(GExp::Call {
                     target: QualName::from_json_value(&p[0])?,
+                    callee: UNRESOLVED,
                     inst: Vec::from_json_value(&p[1])?,
                     args: Vec::from_json_value(&p[2])?,
                 })
@@ -472,12 +512,12 @@ impl ToJson for GenFn {
 
 impl FromJson for GenFn {
     fn from_json_value(j: &Json) -> Result<GenFn, JsonError> {
-        Ok(GenFn {
-            name: QualName::from_json_value(j.get("name")?)?,
-            params: Vec::from_json_value(j.get("params")?)?,
-            sig: BtSignature::from_json_value(j.get("sig")?)?,
-            body: Arc::new(GExp::from_json_value(j.get("body")?)?),
-        })
+        Ok(GenFn::new(
+            QualName::from_json_value(j.get("name")?)?,
+            Vec::from_json_value(j.get("params")?)?,
+            BtSignature::from_json_value(j.get("sig")?)?,
+            GExp::from_json_value(j.get("body")?)?,
+        ))
     }
 }
 
@@ -507,7 +547,7 @@ impl FromJson for GenModule {
 #[derive(Debug)]
 pub enum FnUnit {
     /// Decoded and ready to specialise.
-    Ready(GenFn),
+    Ready(Box<GenFn>),
     /// Still encoded; the linker indexes it by name without parsing.
     Encoded {
         /// The function's qualified name (from the `.gx` offset table).
@@ -545,28 +585,55 @@ impl From<GenModule> for LinkUnit {
         LinkUnit {
             name: m.name,
             imports: m.imports,
-            fns: m.fns.into_iter().map(FnUnit::Ready).collect(),
+            fns: m.fns.into_iter().map(|f| FnUnit::Ready(Box::new(f))).collect(),
         }
     }
 }
 
+/// A linked function: its source until first lookup, then the resolved
+/// function (`None` if an encoded body failed to decode).
 #[derive(Debug)]
-enum FnSlot {
-    Ready(GenFn),
-    Lazy { encoded: Box<str>, cell: OnceLock<Option<GenFn>> },
+struct FnSlot {
+    source: Mutex<Option<FnUnit>>,
+    linked: OnceLock<Option<GenFn>>,
+}
+
+/// Gives every call in `e` its callee's index.
+fn resolve_calls(e: &mut GExp, index: &HashMap<QualName, FnId>) {
+    match e {
+        GExp::Nat(_) | GExp::Bool(_) | GExp::Nil | GExp::Var(_) => {}
+        GExp::Prim(_, _, args) => args.iter_mut().for_each(|a| resolve_calls(a, index)),
+        GExp::Call { target, callee, args, .. } => {
+            *callee = index.get(target).copied().unwrap_or(UNRESOLVED);
+            args.iter_mut().for_each(|a| resolve_calls(a, index));
+        }
+        GExp::If(_, c, t, f) => {
+            resolve_calls(c, index);
+            resolve_calls(t, index);
+            resolve_calls(f, index);
+        }
+        GExp::Lam { body, .. } => resolve_calls(Arc::make_mut(body), index),
+        GExp::App(_, a, b) | GExp::Let(a, b) => {
+            resolve_calls(a, index);
+            resolve_calls(b, index);
+        }
+        GExp::Coerce(_, inner) => resolve_calls(inner, index),
+    }
 }
 
 /// A linked program: generating extensions of all modules, ready to run.
 ///
 /// Linking needs no source code — only `.gx` modules — reproducing the
-/// paper's point that library sources stay private. Functions linked
-/// from seekable (v2) `.gx` files stay encoded until first lookup, so a
-/// session pays decode cost only for the definitions it actually uses;
+/// paper's point that library sources stay private. Linking numbers the
+/// functions and walks no body: a function is decoded (if it came from a
+/// seekable v2 `.gx` file) and resolved on first lookup, so a session
+/// pays for the definitions it actually uses;
 /// [`GenProgram::lazy_decoded_bytes`] reports how much was decoded.
 #[derive(Debug)]
 pub struct GenProgram {
-    modules: Vec<Vec<FnSlot>>,
-    index: HashMap<QualName, (usize, usize)>,
+    fns: Vec<FnSlot>,
+    index: HashMap<QualName, FnId>,
+    modules: usize,
     graph: ModGraph,
     lazy_decoded: AtomicU64,
 }
@@ -593,9 +660,12 @@ impl GenProgram {
     /// Same contract as [`GenProgram::link`].
     pub fn link_units(units: Vec<LinkUnit>) -> Result<GenProgram, SpecError> {
         let mut index = HashMap::new();
-        for (mi, u) in units.iter().enumerate() {
-            for (fi, f) in u.fns.iter().enumerate() {
-                if index.insert(f.name(), (mi, fi)).is_some() {
+        for u in &units {
+            for f in &u.fns {
+                let id = FnId::try_from(index.len()).map_err(|_| {
+                    SpecError::TypeConfusion("more linked functions than indices".into())
+                })?;
+                if index.insert(f.name(), id).is_some() {
                     return Err(SpecError::DuplicateModule(u.name));
                 }
             }
@@ -608,44 +678,54 @@ impl GenProgram {
                 .collect(),
         );
         let graph = ModGraph::new(&skeleton).map_err(|e| SpecError::TypeConfusion(e.to_string()))?;
-        let modules = units
+        let modules = units.len();
+        let fns = units
             .into_iter()
-            .map(|u| {
-                u.fns
-                    .into_iter()
-                    .map(|f| match f {
-                        FnUnit::Ready(g) => FnSlot::Ready(g),
-                        FnUnit::Encoded { encoded, .. } => {
-                            FnSlot::Lazy { encoded, cell: OnceLock::new() }
-                        }
-                    })
-                    .collect()
-            })
+            .flat_map(|u| u.fns)
+            .map(|f| FnSlot { source: Mutex::new(Some(f)), linked: OnceLock::new() })
             .collect();
-        Ok(GenProgram { modules, index, graph, lazy_decoded: AtomicU64::new(0) })
+        Ok(GenProgram { fns, index, modules, graph, lazy_decoded: AtomicU64::new(0) })
     }
 
-    /// Looks up a function's generating extension, decoding it on first
-    /// use if it was linked lazily. A lazily-linked function that fails
-    /// to decode behaves as absent — this cannot happen for artefacts
-    /// that passed the `.gx` checksum, whose offset table and body were
-    /// written together.
+    /// The dense index of a linked function.
+    pub fn fn_id(&self, q: &QualName) -> Option<FnId> {
+        self.index.get(q).copied()
+    }
+
+    /// Looks up a function's generating extension.
     pub fn function(&self, q: &QualName) -> Option<&GenFn> {
-        let (mi, fi) = *self.index.get(q)?;
-        match &self.modules[mi][fi] {
-            FnSlot::Ready(f) => Some(f),
-            FnSlot::Lazy { encoded, cell } => cell
-                .get_or_init(|| {
-                    self.lazy_decoded.fetch_add(encoded.len() as u64, Ordering::Relaxed);
-                    GenFn::from_json_str(encoded).ok()
-                })
-                .as_ref(),
-        }
+        self.function_at(self.fn_id(q)?)
+    }
+
+    /// The function with index `id`, decoding it (if it was linked
+    /// lazily) and resolving its calls on first use. A lazily-linked
+    /// function that fails to decode behaves as absent — this cannot
+    /// happen for artefacts that passed the `.gx` checksum, whose offset
+    /// table and body were written together.
+    pub fn function_at(&self, id: FnId) -> Option<&GenFn> {
+        let slot = self.fns.get(id as usize)?;
+        slot.linked
+            .get_or_init(|| {
+                let source = match slot.source.lock() {
+                    Ok(mut s) => s.take(),
+                    Err(poisoned) => poisoned.into_inner().take(),
+                };
+                let mut f = match source? {
+                    FnUnit::Ready(f) => *f,
+                    FnUnit::Encoded { encoded, .. } => {
+                        self.lazy_decoded.fetch_add(encoded.len() as u64, Ordering::Relaxed);
+                        GenFn::from_json_str(&encoded).ok()?
+                    }
+                };
+                resolve_calls(Arc::make_mut(&mut f.body), &self.index);
+                Some(f)
+            })
+            .as_ref()
     }
 
     /// Number of linked modules.
     pub fn module_count(&self) -> usize {
-        self.modules.len()
+        self.modules
     }
 
     /// The (source) module import graph, used by placement.
@@ -655,7 +735,7 @@ impl GenProgram {
 
     /// Total number of linked functions.
     pub fn fn_count(&self) -> usize {
-        self.index.len()
+        self.fns.len()
     }
 
     /// Bytes of function payload decoded lazily since linking — the
@@ -709,10 +789,10 @@ mod tests {
         GenModule {
             name: ModName::new("M"),
             imports: vec![],
-            fns: vec![GenFn {
-                name: QualName::new("M", "id"),
-                params: vec![Ident::new("x")],
-                sig: BtSignature {
+            fns: vec![GenFn::new(
+                QualName::new("M", "id"),
+                vec![Ident::new("x")],
+                BtSignature {
                     vars: 1,
                     constraints: vec![],
                     forced_d: vec![],
@@ -720,8 +800,8 @@ mod tests {
                     ret: mspec_bta::SigShape::Var(BtTerm::var(0)),
                     unfold: BtTerm::s(),
                 },
-                body: Arc::new(GExp::Var(0)),
-            }],
+                GExp::Var(0),
+            )],
         }
     }
 

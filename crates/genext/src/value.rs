@@ -16,15 +16,15 @@ use mspec_bta::BtMask;
 use mspec_lang::ast::{Expr, Ident, ModName, PrimOp, QualName};
 use mspec_lang::eval::Value;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// A partial (specialisation-time) value.
 ///
 /// Scalars travel inline; only cons cells, closures and code are
 /// reference-counted, so cloning a value is a copy or one refcount bump
-/// and a literal or a static primitive result allocates nothing.
+/// and a literal or a static primitive result allocates nothing. `'p`
+/// is the lifetime of the linked program a closure's code lives in.
 #[derive(Debug, Clone)]
-pub enum PVal {
+pub enum PVal<'p> {
     /// A known natural.
     Nat(u64),
     /// A known boolean.
@@ -33,9 +33,9 @@ pub enum PVal {
     Nil,
     /// A known cons cell, head and tail in one allocation (either part
     /// may contain dynamic leaves).
-    Cons(Rc<(PVal, PVal)>),
+    Cons(Rc<(PVal<'p>, PVal<'p>)>),
     /// A static closure.
-    Clo(Rc<Closure>),
+    Clo(Rc<Closure<'p>>),
     /// Residual code.
     Code(Rc<Expr>),
 }
@@ -44,16 +44,17 @@ pub enum PVal {
 /// compiled generating function for its body (§4.2: "an extra field ...
 /// a function which generates specialisations of the closure's body").
 #[derive(Debug)]
-pub struct Closure {
+pub struct Closure<'p> {
     /// Parameter name (used for readable residual lambdas).
     pub param: Ident,
-    /// The compiled body; its frame is `env` followed by the parameter.
-    pub body: Arc<GExp>,
+    /// The compiled body, inside the linked program; its frame is `env`
+    /// followed by the parameter.
+    pub body: &'p GExp,
     /// Captured values, copied out of the frame they were captured from
     /// (each copy is a scalar or a refcount bump).
-    pub env: Vec<PVal>,
+    pub env: Vec<PVal<'p>>,
     /// Named functions reachable from the body (for placement).
-    pub free_fns: Arc<Vec<QualName>>,
+    pub free_fns: &'p [QualName],
     /// Identity of the lambda site within its module.
     pub lam_id: u32,
     /// Module the lambda occurs in (with `lam_id`, a global identity).
@@ -65,14 +66,14 @@ pub struct Closure {
     pub mask: BtMask,
 }
 
-impl PVal {
+impl<'p> PVal<'p> {
     /// A cons cell.
-    pub fn cons(head: PVal, tail: PVal) -> PVal {
+    pub fn cons(head: PVal<'p>, tail: PVal<'p>) -> PVal<'p> {
         PVal::Cons(Rc::new((head, tail)))
     }
 
     /// Residual code.
-    pub fn code(e: Expr) -> PVal {
+    pub fn code(e: Expr) -> PVal<'p> {
         PVal::Code(Rc::new(e))
     }
 
@@ -80,7 +81,7 @@ impl PVal {
     ///
     /// Returns `None` for closures: run-time function values cannot be
     /// supplied as specialisation inputs.
-    pub fn from_value(v: &Value) -> Option<PVal> {
+    pub fn from_value(v: &Value) -> Option<PVal<'p>> {
         match v {
             Value::Nat(n) => Some(PVal::Nat(*n)),
             Value::Bool(b) => Some(PVal::Bool(*b)),
@@ -158,7 +159,7 @@ pub enum PKey {
 
 /// Splits a value into its skeleton and the residual code of its dynamic
 /// leaves (in deterministic left-to-right order).
-pub fn split(v: &PVal, leaves: &mut Vec<Expr>) -> PKey {
+pub fn split(v: &PVal<'_>, leaves: &mut Vec<Expr>) -> PKey {
     split_hashed(v, leaves).0
 }
 
@@ -167,7 +168,7 @@ pub fn split(v: &PVal, leaves: &mut Vec<Expr>) -> PKey {
 /// first, so the common case (a repeat request) costs one `u64` compare
 /// instead of a deep [`PKey`] walk; equal hashes are collision-checked
 /// against the full skeleton.
-pub fn split_hashed(v: &PVal, leaves: &mut Vec<Expr>) -> (PKey, u64) {
+pub fn split_hashed(v: &PVal<'_>, leaves: &mut Vec<Expr>) -> (PKey, u64) {
     let mut h = FNV_OFFSET;
     let key = split_into(v, leaves, &mut h);
     (key, h)
@@ -207,7 +208,7 @@ fn mix(h: &mut u64, word: u64) {
     *h = (*h ^ word).wrapping_mul(FNV_PRIME);
 }
 
-fn split_into(v: &PVal, leaves: &mut Vec<Expr>, h: &mut u64) -> PKey {
+fn split_into(v: &PVal<'_>, leaves: &mut Vec<Expr>, h: &mut u64) -> PKey {
     match v {
         PVal::Nat(n) => {
             mix(h, 1);
@@ -249,7 +250,7 @@ fn split_into(v: &PVal, leaves: &mut Vec<Expr>, h: &mut u64) -> PKey {
 /// Rebuilds a value with each dynamic leaf replaced by a reference to the
 /// corresponding fresh formal parameter. `names` must have exactly as
 /// many entries as [`split`] produced leaves; `next` tracks consumption.
-pub fn rebuild(v: &PVal, names: &[Ident], next: &mut usize) -> PVal {
+pub fn rebuild<'p>(v: &PVal<'p>, names: &[Ident], next: &mut usize) -> PVal<'p> {
     match v {
         PVal::Nat(_) | PVal::Bool(_) | PVal::Nil => v.clone(),
         PVal::Cons(c) => {
@@ -261,9 +262,9 @@ pub fn rebuild(v: &PVal, names: &[Ident], next: &mut usize) -> PVal {
             let env = c.env.iter().map(|e| rebuild(e, names, next)).collect();
             PVal::Clo(Rc::new(Closure {
                 param: c.param,
-                body: Arc::clone(&c.body),
+                body: c.body,
                 env,
-                free_fns: Arc::clone(&c.free_fns),
+                free_fns: c.free_fns,
                 lam_id: c.lam_id,
                 module: c.module,
                 mask: c.mask,
@@ -279,7 +280,7 @@ pub fn rebuild(v: &PVal, names: &[Ident], next: &mut usize) -> PVal {
 
 /// Converts a fully static value back to an interpreter [`Value`]
 /// (`None` if it contains code or closures).
-pub fn to_value(v: &PVal) -> Option<Value> {
+pub fn to_value(v: &PVal<'_>) -> Option<Value> {
     match v {
         PVal::Nat(n) => Some(Value::Nat(*n)),
         PVal::Bool(b) => Some(Value::Bool(*b)),
@@ -291,7 +292,7 @@ pub fn to_value(v: &PVal) -> Option<Value> {
 
 /// Builds the literal expression denoting a fully static first-order
 /// value (no closures). Used when lifting static data into residual code.
-pub fn quote_static(v: &PVal) -> Option<Expr> {
+pub fn quote_static(v: &PVal<'_>) -> Option<Expr> {
     match v {
         PVal::Nat(n) => Some(Expr::Nat(*n)),
         PVal::Bool(b) => Some(Expr::Bool(*b)),
@@ -309,12 +310,14 @@ pub fn quote_static(v: &PVal) -> Option<Expr> {
 mod tests {
     use super::*;
 
-    fn clo(env: Vec<PVal>) -> PVal {
+    static BODY: GExp = GExp::Var(0);
+
+    fn clo<'p>(env: Vec<PVal<'p>>, free_fns: &'p [QualName]) -> PVal<'p> {
         PVal::Clo(Rc::new(Closure {
             param: Ident::new("x"),
-            body: Arc::new(GExp::Var(0)),
+            body: &BODY,
             env,
-            free_fns: Arc::new(vec![QualName::new("P", "power")]),
+            free_fns,
             lam_id: 7,
             module: ModName::new("B"),
             mask: BtMask::all_static(),
@@ -377,15 +380,15 @@ mod tests {
 
     #[test]
     fn closures_key_on_site_and_static_env() {
-        let c1 = clo(vec![PVal::Nat(1), PVal::code(Expr::Var(Ident::new("z")))]);
-        let c2 = clo(vec![PVal::Nat(1), PVal::code(Expr::Var(Ident::new("w")))]);
+        let c1 = clo(vec![PVal::Nat(1), PVal::code(Expr::Var(Ident::new("z")))], &[]);
+        let c2 = clo(vec![PVal::Nat(1), PVal::code(Expr::Var(Ident::new("w")))], &[]);
         let mut l1 = Vec::new();
         let mut l2 = Vec::new();
         // Same static parts, different dynamic leaves → same key.
         assert_eq!(split(&c1, &mut l1), split(&c2, &mut l2));
         assert_eq!(l1.len(), 1);
         // Different static env → different key.
-        let c3 = clo(vec![PVal::Nat(2), PVal::code(Expr::Var(Ident::new("z")))]);
+        let c3 = clo(vec![PVal::Nat(2), PVal::code(Expr::Var(Ident::new("z")))], &[]);
         let mut l3 = Vec::new();
         assert_ne!(split(&c1, &mut l1), split(&c3, &mut l3));
     }
@@ -408,7 +411,7 @@ mod tests {
 
     #[test]
     fn rebuild_reaches_into_closure_envs() {
-        let c = clo(vec![PVal::code(Expr::Nat(13))]);
+        let c = clo(vec![PVal::code(Expr::Nat(13))], &[]);
         let names = vec![Ident::new("z0")];
         let mut next = 0;
         let rebuilt = rebuild(&c, &names, &mut next);
@@ -422,7 +425,8 @@ mod tests {
 
     #[test]
     fn free_fns_sees_through_structure() {
-        let p = PVal::cons(clo(vec![]), PVal::Nil);
+        let fns = [QualName::new("P", "power")];
+        let p = PVal::cons(clo(vec![], &fns), PVal::Nil);
         let mut fns = Vec::new();
         p.free_fns(&mut fns);
         assert_eq!(fns, vec![QualName::new("P", "power")]);
@@ -444,7 +448,7 @@ mod tests {
             e,
             Expr::Prim(PrimOp::Cons, vec![Expr::Nat(1), Expr::Nil])
         );
-        assert!(quote_static(&clo(vec![])).is_none());
+        assert!(quote_static(&clo(vec![], &[])).is_none());
     }
 
     #[test]

@@ -13,7 +13,8 @@ use mspec_bta::analyse::analyse_program;
 use mspec_bta::division::{Division, ParamBt};
 use mspec_bta::{AnnDef, AnnExpr, AnnProgram, BtMask, CoerceSpec, SigShape};
 use mspec_genext::budget::{BudgetResource, Fuel, SpecBudget};
-use mspec_genext::emit::assemble;
+use mspec_genext::emit::{assemble, imports_of};
+use mspec_genext::engine::failing_code;
 use mspec_genext::{ResidualProgram, SpecArg, SpecError};
 use mspec_lang::ast::{CallName, Def, Expr, Ident, ModName, PrimOp, Program, QualName};
 use mspec_lang::eval::Value;
@@ -618,7 +619,8 @@ impl<'a> MixInterp<'a> {
             }
         }
         let entry_resid = QualName { module: self.out_module, name: entry.name };
-        Ok(assemble(modules, entry_resid)?)
+        let imports = imports_of(&modules);
+        Ok(assemble(modules, imports, entry_resid)?)
     }
 
     fn compute_mono_masks(&mut self, entry: &QualName, entry_mask: BtMask) {
@@ -732,8 +734,8 @@ impl<'a> MixInterp<'a> {
             AnnExpr::If(t, c, th, el) => {
                 let cv = self.eval(c, env, mask, home)?;
                 if mask.eval(t).is_dynamic() {
-                    let tv = self.eval(th, env, mask, home)?;
-                    let ev = self.eval(el, env, mask, home)?;
+                    let tv = self.eval_branch(th, env, mask, home)?;
+                    let ev = self.eval_branch(el, env, mask, home)?;
                     Ok(MVal::Code(Expr::If(
                         Box::new(self.lift(cv)?),
                         Box::new(self.lift(tv)?),
@@ -805,6 +807,34 @@ impl<'a> MixInterp<'a> {
                 let v = self.eval(inner, env, mask, home)?;
                 self.coerce(spec, v, mask)
             }
+        }
+    }
+
+    /// Evaluates one branch of a dynamic conditional under the engine's
+    /// rule: which branch runs is decided only at run time, so a static
+    /// run-time error raised in the branch becomes residual code that
+    /// raises the same error if the branch is taken ([`failing_code`]).
+    /// Every other error propagates. `mix` constructs breadth-first
+    /// only, so no definition is open inside a branch.
+    fn eval_branch(
+        &mut self,
+        e: &AnnExpr,
+        env: &mut BTreeMap<Ident, MVal>,
+        mask: BtMask,
+        home: &ModName,
+    ) -> Result<MVal, MixError> {
+        let chain = self.chain.len();
+        match self.eval(e, env, mask, home) {
+            Err(MixError::Spec(err)) => match failing_code(&err) {
+                Some(code) => {
+                    // Unfolds cut short by the error leave their chain
+                    // entries; the environment is restored on the way out.
+                    self.chain.truncate(chain);
+                    Ok(MVal::Code(code))
+                }
+                None => Err(MixError::Spec(err)),
+            },
+            r => r,
         }
     }
 

@@ -172,6 +172,24 @@ FUSED=$(timeout 60 ./target/release/mspec run examples/programs/power.mspec \
 test "${TREE}" = "${PLAIN}" && test "${PLAIN}" = "${FUSED}" \
   || { echo "tiers disagree: tree=${TREE} vm=${PLAIN} fused=${FUSED}"; exit 1; }
 
+echo "==> deep-unfold smoke (explicit-stack engine, typed unfold-depth budget)"
+# E3's power at n = 20,000 unfolds 19,999 deep and must specialise; at
+# n = 200,000 the chain passes the unfold-depth budget and must fail
+# with the typed budget error (exit 1), never a stack overflow (134).
+mkdir -p target/deep-smoke
+timeout 60 ./target/release/mspec spec examples/programs/power.mspec \
+  --entry Power.power --args S:20000,D > target/deep-smoke/n20000.txt 2> target/deep-smoke/n20000.err \
+  || { echo "power at S:20000,D did not specialise"; exit 1; }
+set +e
+timeout 60 ./target/release/mspec spec examples/programs/power.mspec \
+  --entry Power.power --args S:200000,D > /dev/null 2> target/deep-smoke/n200000.err
+DEEP_STATUS=$?
+set -e
+test "${DEEP_STATUS}" = 1 \
+  || { echo "power at S:200000,D exited ${DEEP_STATUS}, want 1"; exit 1; }
+grep -q 'unfold depth budget exhausted at `Power.power`' target/deep-smoke/n200000.err \
+  || { echo "power at S:200000,D did not report the unfold-depth budget"; exit 1; }
+
 echo "==> persistent residual cache smoke (warm spec + daemon restart)"
 # Cold then warm `mspec spec` through the same --cache-dir: the second
 # run must answer from the disk cache (zero engine steps) with a

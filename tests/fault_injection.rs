@@ -612,6 +612,42 @@ fn daemon_survives_the_chaos_matrix() {
     assert_error(c.read_response(), ErrorClass::BadRequest);
     assert_spec_ok(c.roundtrip(&spec_req(14, 3)), 14);
 
+    // 12. Static spines longer than the unfold-depth budget: a 97-byte
+    // frame asking for a million-element static spine, and a 2 MB frame
+    // whose static argument is a million-element list. Every walk over a
+    // partial value recurses once per cell, so converting either used
+    // to overflow the worker's stack; both are refused with a typed
+    // budget error before conversion.
+    const ID: &str = "module M where\nf xs = xs\n";
+    let spine = c.roundtrip(&Request {
+        id: 15,
+        kind: RequestKind::Spec(SpecRequest::inline(ID, "M.f", "P:1000000")),
+    });
+    assert_eq!(spine.id, 15);
+    assert!(assert_error(spine, ErrorClass::Budget).message.contains("unfold depth"));
+    let mut ones = String::from("S:[1");
+    ones.push_str(&";1".repeat(999_999));
+    ones.push(']');
+    let list = c.roundtrip(&Request {
+        id: 16,
+        kind: RequestKind::Spec(SpecRequest::inline(ID, "M.f", &ones)),
+    });
+    assert_eq!(list.id, 16);
+    assert!(assert_error(list, ErrorClass::Budget).message.contains("unfold depth"));
+    assert_spec_ok(c.roundtrip(&spec_req(17, 3)), 17);
+
+    // 13. Deep unfold chains: E3's power at n = 20,000 unfolds 19,999
+    // deep and is answered (the engine unfolds on an explicit stack);
+    // n = 200,000 is past the unfold-depth budget and refused with a
+    // typed error. The daemon stays healthy.
+    assert_spec_ok(c.roundtrip(&spec_req(18, 20_000)), 18);
+    let deep = c.roundtrip(&spec_req(19, 200_000));
+    assert_eq!(deep.id, 19);
+    assert!(assert_error(deep, ErrorClass::Budget).message.contains("unfold depth"));
+    let health = c.roundtrip(&Request { id: 20, kind: RequestKind::Health });
+    assert_eq!(health.id, 20);
+    assert!(matches!(health.body, ResponseBody::Health { .. }), "{health:?}");
+
     // After the whole matrix: the surviving connection still works...
     assert_spec_ok(c.roundtrip(&spec_req(9, 4)), 9);
     // ...and so does a brand-new one.

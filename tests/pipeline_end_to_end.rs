@@ -400,6 +400,113 @@ fn static_error_in_a_dead_dynamic_branch_does_not_abort() {
     }
 }
 
+/// `mix` applies the engine's rule to a dynamic conditional's branches:
+/// a static `head []` in the dead branch becomes residual code raising
+/// the same error, so both specialisers answer, with the same body.
+#[test]
+fn mix_and_genext_agree_on_a_static_error_in_a_dead_branch() {
+    let src = "module M where\nf p0 p1 = if null (tail (if true then (if false then p0 else p0) else p1 : p0)) then p1 else head (tail (if true then (if false then p0 else p0) else p1 : p0))\n";
+    let args = || vec![SpecArg::Static(Value::list(vec![Value::nat(17)])), SpecArg::Dynamic];
+    let spec = Pipeline::from_source(src).unwrap().specialise("M", "f", args()).unwrap();
+    let mix = mix_specialise(src, "M", "f", args(), MixOptions::default()).unwrap();
+    let pretty = mspec_lang::pretty::pretty_program;
+    assert_eq!(
+        pretty(&spec.residual.program),
+        "module M where\nf p1 = if null tail (17 : []) then p1 else head []\n"
+    );
+    assert_eq!(
+        pretty(&mix.residual.program),
+        "module Spec where\nf p1 = if null tail (17 : []) then p1 else head []\n"
+    );
+}
+
+/// The engine unfolds on an explicit stack, not in host frames: E3's
+/// `power` at n = 20,000 (19,999 nested unfolds) specialises on a
+/// 16 MiB thread, where one host frame per unfold overflowed between
+/// 4,000 and 4,500 unfolds. At n = 200,000 the chain passes the
+/// unfold-depth budget: `error` gives the typed budget error, and
+/// `generalise` demotes the call past the limit to a residual call and
+/// stays correct. Residuals run on the VM (its frames are on the heap)
+/// after `resolve`, which recurses once per level, on a big stack.
+#[test]
+fn deep_unfold_chains_need_no_host_stack() {
+    use mspec_core::OnExhaustion;
+    use mspec_genext::{Engine, ResidualProgram, SpecStats};
+    use mspec_lang::bytecode::compile;
+    use mspec_lang::eval::with_big_stack;
+    use mspec_lang::resolve::resolve;
+    use mspec_lang::vm::Vm;
+
+    const POWER: &str =
+        "module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\n";
+    let power = QualName::new("Power", "power");
+    let specialise = |n: u64, on_exhaustion| {
+        std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(move || {
+                let p = Pipeline::from_source(POWER).unwrap();
+                let options = EngineOptions { on_exhaustion, ..EngineOptions::default() };
+                let mut engine = Engine::new(p.genext(), options);
+                let args = vec![SpecArg::Static(Value::nat(n)), SpecArg::Dynamic];
+                let residual = engine.specialise(&QualName::new("Power", "power"), args);
+                residual.map(|r| (r, *engine.stats()))
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    };
+    // The residual is as deep as the unfold chain: it is compared, and
+    // dropped, on a big stack too.
+    let check = move |(r, stats): (ResidualProgram, SpecStats), n: u64| {
+        with_big_stack(move || {
+            let source = resolve(mspec_lang::parser::parse_program(POWER).unwrap()).unwrap();
+            let (source, residual) = (compile(&source).unwrap(), compile(&resolve(r.program).unwrap()).unwrap());
+            for x in [1, 3] {
+                let want = Vm::new(&source).call(&power, vec![Value::nat(n), Value::nat(x)]);
+                let got = Vm::new(&residual).call(&r.entry, vec![Value::nat(x)]);
+                assert_eq!(got.unwrap(), want.unwrap(), "n={n} x={x}");
+            }
+        });
+        stats
+    };
+
+    let stats = check(specialise(20_000, OnExhaustion::Error).unwrap(), 20_000);
+    assert_eq!(stats.unfolds, 19_999);
+    assert_eq!(stats.residual_nodes, 39_999);
+
+    match specialise(200_000, OnExhaustion::Error) {
+        Err(SpecError::BudgetExhausted { resource, witness, .. }) => {
+            assert_eq!(resource, BudgetResource::UnfoldDepth);
+            assert_eq!(witness, power);
+        }
+        other => panic!("expected the unfold-depth error, got {:?}", other.map(|(_, s)| s)),
+    }
+    let stats = check(specialise(200_000, OnExhaustion::Generalise).unwrap(), 200_000);
+    assert_eq!(stats.generalised, 1);
+    assert_eq!(stats.unfolds, SpecBudget::default().max_unfold_depth);
+}
+
+/// Deep unfold chains and long static spines fail on the CLI with the
+/// typed budget error (exit 1), never a stack overflow (exit 134).
+#[test]
+fn cli_refuses_deep_unfolds_and_long_spines_with_a_typed_error() {
+    let dir = temp_dir("deep-cli");
+    let power = format!("{dir}/power.mspec");
+    std::fs::write(&power, "module Power where\npower n x = if n == 1 then x else x * power (n - 1) x\n")
+        .unwrap();
+    let id = format!("{dir}/id.mspec");
+    std::fs::write(&id, "module M where\nf xs = xs\n").unwrap();
+    let (ok, out, _) = mspec(&["spec", &power, "--entry", "Power.power", "--args", "S:20000,D"]);
+    assert!(ok && out.starts_with("module Power where\npower x =") && out.contains("x * (x * "));
+    for args in [
+        ["spec", &power, "--entry", "Power.power", "--args", "S:200000,D"],
+        ["spec", &id, "--entry", "M.f", "--args", "P:3000000"],
+    ] {
+        let err = mspec_error(&args);
+        assert!(err.starts_with("unfold depth budget exhausted at `"), "{err}");
+    }
+}
+
 /// When the branch holding a static error *is* taken, the residual
 /// fails at run time exactly as the source does; the other branch
 /// still computes. Covers `head []`, `tail []` and division by zero.

@@ -29,8 +29,8 @@ struct OrderSink {
 }
 
 impl ModuleSink for OrderSink {
-    fn emit(&mut self, module: &ModName, def: &Def) -> Result<(), mspec_genext::SpecError> {
-        self.seen.push((*module, def.name.to_string()));
+    fn emit(&mut self, module: ModName, def: Def) -> Result<(), mspec_genext::SpecError> {
+        self.seen.push((module, def.name.to_string()));
         Ok(())
     }
 }
